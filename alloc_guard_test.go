@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"superfast/internal/flash"
+	"superfast/internal/ftl"
 	"superfast/internal/pv"
 	"superfast/internal/ssd"
 )
@@ -57,5 +58,45 @@ func TestFTLChurnAllocFree(t *testing.T) {
 	}
 	if err := dev.FTL().CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLoopbackRoundTripAllocs pins the wire path's allocation budget: a READ
+// and a 4 KiB WRITE round trip over TCP loopback cost at most four heap
+// objects each, client and server together (AllocsPerRun counts every
+// goroutine's). What is left is the client's call slot, the decoded payload
+// on the receiving side, and the device's copy of a page it returns; a
+// response channel, a frame buffer or a goroutine per request would each
+// show up here as one more.
+func TestLoopbackRoundTripAllocs(t *testing.T) {
+	cl, capacity := loopbackClient(t)
+	page := make([]byte, 4<<10)
+	i := int64(0)
+	read := func() {
+		if _, err := cl.Read(i % capacity); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	write := func() {
+		if _, err := cl.Write(i*2654435761%capacity, page, ftl.HintNone); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for _, op := range []struct {
+		name string
+		fn   func()
+	}{{"READ", read}, {"4 KiB WRITE", write}} {
+		// AllocsPerRun warms up with one call; the write pass before it lets
+		// the device's buffer circulation settle as in TestFTLChurnAllocFree.
+		for n := 0; n < 2000; n++ {
+			op.fn()
+		}
+		if n := testing.AllocsPerRun(2000, op.fn); n > 4 {
+			t.Errorf("loopback %s round trip allocates %.0f objects, want <= 4", op.name, n)
+		} else {
+			t.Logf("loopback %s round trip: %.0f allocs", op.name, n)
+		}
 	}
 }

@@ -207,12 +207,11 @@ func BenchmarkConcurrentDevice(b *testing.B) {
 	}
 }
 
-// BenchmarkServerLoopback drives the TCP block service end to end: a
-// pipelining client against a loopback ftl server over the concurrent device,
-// closed-loop at several queue depths. The per-op cost includes framing, the
-// socket round trip, admission, and the device itself — the wire-protocol
-// overhead on top of BenchmarkConcurrentDevice's direct submission path.
-func BenchmarkServerLoopback(b *testing.B) {
+// loopbackClient serves a small filled concurrent device over TCP loopback
+// and dials it; both ends are torn down at cleanup. It returns the device
+// capacity alongside the client.
+func loopbackClient(tb testing.TB) (*client.Client, int64) {
+	tb.Helper()
 	g := flash.TestGeometry()
 	g.BlocksPerPlane = 12
 	g.Layers = 12
@@ -221,53 +220,70 @@ func BenchmarkServerLoopback(b *testing.B) {
 	p.Strings = g.Strings
 	cfg := ssd.DefaultConfig()
 	cfg.FTL.Overprovision = 0.25
+	dev, err := ssd.NewConcurrent(flash.MustNewArray(g, pv.New(p), flash.DefaultECC()), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(dev.Close)
+	if err := dev.FillSequential(nil); err != nil {
+		tb.Fatal(err)
+	}
+	srv := server.New(dev, server.Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	go srv.Serve(ln)
+	tb.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	cl, err := client.Dial(ln.Addr().String())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { cl.Close() })
+	return cl, dev.FTL().Capacity()
+}
+
+// BenchmarkServerLoopback drives the TCP block service end to end: a
+// pipelining client against a loopback ftl server over the concurrent device,
+// closed-loop at several queue depths. The per-op cost includes framing, the
+// socket round trip, admission, and the device itself — the wire-protocol
+// overhead on top of BenchmarkConcurrentDevice's direct submission path.
+// A few reads run before the timer starts, so even the single iteration
+// `make bench` records reports the steady-state allocs/op (not the
+// connection's buffers), which is what `make bench-compare` gates on.
+func BenchmarkServerLoopback(b *testing.B) {
 	for _, depth := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
-			dev, err := ssd.NewConcurrent(flash.MustNewArray(g, pv.New(p), flash.DefaultECC()), cfg)
-			if err != nil {
-				b.Fatal(err)
+			cl, capacity := loopbackClient(b)
+			for i := 0; i < 64; i++ {
+				if _, err := cl.Read(int64(i) % capacity); err != nil {
+					b.Fatal(err)
+				}
 			}
-			b.Cleanup(dev.Close)
-			if err := dev.FillSequential(nil); err != nil {
-				b.Fatal(err)
-			}
-			capacity := dev.FTL().Capacity()
-			srv := server.New(dev, server.Config{})
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			go srv.Serve(ln)
-			b.Cleanup(func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				defer cancel()
-				srv.Shutdown(ctx)
-			})
-			cl, err := client.Dial(ln.Addr().String())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { cl.Close() })
+			// calls is a ring: slot i%depth holds the call issued depth ops ago.
+			calls := make([]*client.Call, depth)
 			b.ReportAllocs()
 			b.ResetTimer()
-			pending := make([]*client.Call, 0, depth)
-			for i := 0; i < b.N; i++ {
-				if len(pending) == depth {
-					if _, err := pending[0].Wait(); err != nil {
+			for i := 0; i < b.N+depth; i++ {
+				slot := i % depth
+				if calls[slot] != nil {
+					if _, err := calls[slot].Wait(); err != nil {
 						b.Fatal(err)
 					}
-					pending = pending[1:]
+					calls[slot] = nil
+				}
+				if i >= b.N {
+					continue
 				}
 				call, err := cl.Start(server.Frame{Op: server.OpRead, LPN: int64(i) % capacity})
 				if err != nil {
 					b.Fatal(err)
 				}
-				pending = append(pending, call)
-			}
-			for _, call := range pending {
-				if _, err := call.Wait(); err != nil {
-					b.Fatal(err)
-				}
+				calls[slot] = call
 			}
 		})
 	}

@@ -39,16 +39,16 @@ import (
 
 func main() {
 	var (
-		list   = flag.Bool("list", false, "list experiment ids and exit")
-		id     = flag.String("id", "", "experiment id to run")
-		all    = flag.Bool("all", false, "run every experiment")
-		quick  = flag.Bool("quick", false, "use the reduced quick configuration")
-		seed   = flag.Uint64("seed", 0, "override model seed (0 = default)")
-		blocks = flag.Int("blocks", 0, "override blocks per lane (0 = default)")
-		groups = flag.Int("groups", 0, "override number of lane groups (0 = all)")
-		peList = flag.String("pe", "", "override P/E steps, comma separated (e.g. 0,1000,3000)")
-		csvDir = flag.String("csv", "", "also write tables and series as CSV files into this directory")
-		par    = flag.Int("parallel", 0, "run sweep tasks on N goroutines (0 = serial)")
+		list     = flag.Bool("list", false, "list experiment ids and exit")
+		id       = flag.String("id", "", "experiment id to run")
+		all      = flag.Bool("all", false, "run every experiment")
+		quick    = flag.Bool("quick", false, "use the reduced quick configuration")
+		seed     = flag.Uint64("seed", 0, "override model seed (0 = default)")
+		blocks   = flag.Int("blocks", 0, "override blocks per lane (0 = default)")
+		groups   = flag.Int("groups", 0, "override number of lane groups (0 = all)")
+		peList   = flag.String("pe", "", "override P/E steps, comma separated (e.g. 0,1000,3000)")
+		csvDir   = flag.String("csv", "", "also write tables and series as CSV files into this directory")
+		par      = flag.Int("parallel", 0, "run sweep tasks on N goroutines (0 = serial)")
 		met      = flag.Bool("metrics", false, "print sweep telemetry (task counters, extra-latency digests) at exit (stderr)")
 		metOut   = flag.String("metrics-out", "", "write the -metrics dump to FILE instead of stderr")
 		attrOut  = flag.String("attr", "", "write the straggler attribution report (JSON) gathered across experiments to FILE")

@@ -122,7 +122,7 @@ type Array struct {
 	kern     *pv.Kernel // cached-latency kernel over this array's geometry
 	seed     uint64     // model seed, cached off the hot read path
 	ecc      ECCConfig
-	borrow   bool                        // store program payloads without copying (SetBorrowPayloads)
+	borrow   bool                       // store program payloads without copying (SetBorrowPayloads)
 	recycler func(buf []byte, oob bool) // erase-time buffer hand-back (SetRecycler)
 
 	blocks   []block // lane-major: lane*BlocksPerPlane + block

@@ -69,7 +69,7 @@ func TestMarkBadBlocksEdgeCases(t *testing.T) {
 		t.Fatalf("n=0: %v, %v", m, err)
 	}
 	// Asking for more than exists clamps to the sealed pool.
-	m, err := full.MarkBadBlocks(1 << 20, 7)
+	m, err := full.MarkBadBlocks(1<<20, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

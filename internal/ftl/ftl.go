@@ -150,10 +150,10 @@ func DefaultConfig() Config {
 
 // Stats aggregates FTL activity.
 type Stats struct {
-	HostWrites   uint64 // pages written by the host
-	HostReads    uint64
-	GCWrites     uint64 // pages relocated by garbage collection
-	GCRuns       uint64
+	HostWrites uint64 // pages written by the host
+	HostReads  uint64
+	GCWrites   uint64 // pages relocated by garbage collection
+	GCRuns     uint64
 	// GCLatency is the flash time spent inside garbage collection (victim
 	// reads, relocation flushes, erases) — the share of FlushLatency/
 	// EraseLatency/ReadLatency that host requests should not be charged for.
@@ -169,7 +169,7 @@ type Stats struct {
 	// threshold being enforced) but no reclaimable victim existed — every
 	// sealed superblock 100% valid. The device then runs degraded; without
 	// this counter that state was silent.
-	GCStarved uint64
+	GCStarved    uint64
 	Flushes      uint64  // multi-plane super-word-line programs
 	Erases       uint64  // superblock erases
 	BadBlocks    uint64  // blocks retired after erase failure
@@ -264,8 +264,8 @@ type FTL struct {
 	// GC steps, and after a collection failed mid-relocation — the cursor is
 	// what makes the error path crash-consistent instead of orphaning the
 	// victim.
-	gcq    []*gcState
-	softGC int // free-pool watermark where incremental GC starts
+	gcq      []*gcState
+	softGC   int       // free-pool watermark where incremental GC starts
 	hot      *hotness  // write-frequency detector (AutoHint)
 	mcache   *mapCache // DFTL translation cache (nil = full table in RAM)
 	writeSeq uint64    // global write sequence for spare-area tags
@@ -281,16 +281,16 @@ type FTL struct {
 	// and payload buffers back, seals recycle openStates, and completed
 	// collections recycle superblocks and cursors, so steady-state churn
 	// reuses the same arena instead of feeding the garbage collector.
-	own       PayloadOwnership
-	bufPool   [][]byte      // erased payload buffers (CopyRecycle only)
-	tagPool   [][]byte      // erased spare-area tag buffers
-	statePool []*openState  // openStates recycled at seal
-	sbPool    []*superblock // superblock records recycled after their erase
-	gcPool    []*gcState    // collection cursors recycled at completion
-	flushPages [][][]byte   // flush scratch: per-member page table
-	flushOOBs  [][][]byte   // flush scratch: per-member OOB rows (reused)
-	flushLats  []float64    // per-member latency scratch (programMultiOOB)
-	opsBuf     [2][]FlashOp // double-buffered journal slabs for CollectOps
+	own        PayloadOwnership
+	bufPool    [][]byte      // erased payload buffers (CopyRecycle only)
+	tagPool    [][]byte      // erased spare-area tag buffers
+	statePool  []*openState  // openStates recycled at seal
+	sbPool     []*superblock // superblock records recycled after their erase
+	gcPool     []*gcState    // collection cursors recycled at completion
+	flushPages [][][]byte    // flush scratch: per-member page table
+	flushOOBs  [][][]byte    // flush scratch: per-member OOB rows (reused)
+	flushLats  []float64     // per-member latency scratch (programMultiOOB)
+	opsBuf     [2][]FlashOp  // double-buffered journal slabs for CollectOps
 	opsCur     int
 }
 

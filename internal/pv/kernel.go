@@ -60,13 +60,13 @@ type kernelShard struct {
 // i = layer*strings + string; the jitter hash bases are the per-coordinate
 // hashes that the direct methods XOR with the caller's nonce.
 type blockTables struct {
-	pgmStatic  []float64 // len lwls: static program sum per logical word-line
-	pgmJitterH []uint64  // len lwls: program jitter hash base per LWL
-	ersStatic  float64   // static erase sum (base + chip + corr + local + spike)
-	ersJitterH uint64    // erase jitter hash base
-	readJitterH uint64   // read jitter hash base (shared by all pages of the block)
-	endurance  int       // P/E endurance limit (fully static)
-	rberBlk    float64   // per-block RBER multiplier exp(span·z)
+	pgmStatic   []float64 // len lwls: static program sum per logical word-line
+	pgmJitterH  []uint64  // len lwls: program jitter hash base per LWL
+	ersStatic   float64   // static erase sum (base + chip + corr + local + spike)
+	ersJitterH  uint64    // erase jitter hash base
+	readJitterH uint64    // read jitter hash base (shared by all pages of the block)
+	endurance   int       // P/E endurance limit (fully static)
+	rberBlk     float64   // per-block RBER multiplier exp(span·z)
 }
 
 // Kernel returns the cached-latency kernel for the given geometry, building

@@ -21,12 +21,12 @@ func FuzzCampaignSpec(f *testing.F) {
 		`"tenants":{"noisy_quota":2}}`))
 	f.Add([]byte(`{"events":[{"at_op":5,"kind":"chip-dropout","backend":1,"chip":2},` +
 		`{"at_op":9,"kind":"chip-revive","backend":1,"chip":2}]}`))
-	f.Add([]byte(`{"events":[{"at_op":9,"kind":"kill-backend"}]}`))    // never restarted
-	f.Add([]byte(`{"events":[{"at_op":9,"kind":"meteor-strike"}]}`))   // unknown kind
-	f.Add([]byte(`{"name":"x","sedd":9}`))                             // typoed field
-	f.Add([]byte(`{"name":"x"} trailing`))                             // trailing bytes
-	f.Add([]byte(`{"ops":-1}`))                                        // bad scalar
-	f.Add([]byte(`{"tenants":{"noisy_quota":0,"noisy_factor":-3}}`))   // bad tenant phase
+	f.Add([]byte(`{"events":[{"at_op":9,"kind":"kill-backend"}]}`))  // never restarted
+	f.Add([]byte(`{"events":[{"at_op":9,"kind":"meteor-strike"}]}`)) // unknown kind
+	f.Add([]byte(`{"name":"x","sedd":9}`))                           // typoed field
+	f.Add([]byte(`{"name":"x"} trailing`))                           // trailing bytes
+	f.Add([]byte(`{"ops":-1}`))                                      // bad scalar
+	f.Add([]byte(`{"tenants":{"noisy_quota":0,"noisy_factor":-3}}`)) // bad tenant phase
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseSpec(data)
 		if err != nil {

@@ -21,9 +21,9 @@ var (
 // sequenced replay mode — grants slots in strict ticket (Seq) order, so a
 // later ticket can never starve an earlier one of the last slot (the
 // deadlock a naive cap would allow when tickets are spread across
-// connections). Callers block in acquire; because the caller is a connection
-// reader, a full server stops reading sockets instead of buffering requests,
-// and TCP backpressure propagates to the clients.
+// connections). Callers block in acquire; because the caller is a
+// connection's only goroutine, a full server stops reading sockets instead
+// of buffering requests, and TCP backpressure propagates to the clients.
 type admission struct {
 	mu   sync.Mutex
 	cond *sync.Cond

@@ -44,7 +44,7 @@ type Client struct {
 	buf []byte
 
 	pmu     sync.Mutex
-	pending map[uint64]chan server.Response
+	pending map[uint64]*Call
 	nextID  uint64
 	tenant  uint16 // stamped onto data frames when nonzero (SetTenant)
 	err     error  // terminal connection error, set once
@@ -72,7 +72,7 @@ func New(nc net.Conn) *Client {
 	c := &Client{
 		nc:         nc,
 		bw:         bufio.NewWriterSize(nc, 64<<10),
-		pending:    make(map[uint64]chan server.Response),
+		pending:    make(map[uint64]*Call),
 		readerDone: make(chan struct{}),
 	}
 	go c.readLoop()
@@ -173,26 +173,26 @@ func (c *Client) Fault(req server.FaultRequest) (server.FaultReport, error) {
 	return rep, nil
 }
 
-// Call is one in-flight request.
+// Call is one in-flight request: the slot its response (or the connection's
+// terminal error) lands in, and the one-shot signal that it has.
 type Call struct {
-	resp chan server.Response
-	c    *Client
+	done sync.WaitGroup // released once, by readLoop or fail
+	resp server.Response
+	err  error
 }
 
 // Wait blocks until the response arrives or the connection dies.
 func (call *Call) Wait() (server.Response, error) {
-	r, ok := <-call.resp
-	if !ok {
-		return server.Response{}, call.c.Err()
-	}
-	return r, nil
+	call.done.Wait()
+	return call.resp, call.err
 }
 
 // Start sends one request without waiting for its response. The frame's ID
 // is assigned by the client; Seq/Arrival/Flags pass through untouched, so a
 // sequenced replay stamps them before calling Start.
 func (c *Client) Start(f server.Frame) (*Call, error) {
-	ch := make(chan server.Response, 1)
+	call := new(Call)
+	call.done.Add(1)
 	c.pmu.Lock()
 	if c.err != nil {
 		err := c.err
@@ -201,7 +201,7 @@ func (c *Client) Start(f server.Frame) (*Call, error) {
 	}
 	c.nextID++
 	f.ID = c.nextID
-	c.pending[f.ID] = ch
+	c.pending[f.ID] = call
 	led := c.led
 	if c.tenant != 0 && !f.Tenanted() {
 		switch f.Op {
@@ -247,7 +247,7 @@ func (c *Client) Start(f server.Frame) (*Call, error) {
 		}
 		return nil, err
 	}
-	return &Call{resp: ch, c: c}, nil
+	return call, nil
 }
 
 // Do sends one request and waits for its response.
@@ -334,11 +334,12 @@ func (c *Client) readLoop() {
 			return
 		}
 		c.pmu.Lock()
-		ch, ok := c.pending[resp.ID]
+		call, ok := c.pending[resp.ID]
 		delete(c.pending, resp.ID)
 		c.pmu.Unlock()
 		if ok {
-			ch <- resp
+			call.resp = resp
+			call.done.Done()
 		}
 	}
 }
@@ -349,9 +350,10 @@ func (c *Client) fail(err error) {
 	if c.err == nil {
 		c.err = err
 	}
-	for id, ch := range c.pending {
+	for id, call := range c.pending {
 		delete(c.pending, id)
-		close(ch)
+		call.err = c.err
+		call.done.Done()
 	}
 	c.pmu.Unlock()
 }

@@ -42,10 +42,14 @@ type FaultReport struct {
 	CheckpointBytes int     `json:"checkpoint_bytes,omitempty"`
 }
 
-// handleFault applies one fault-injection command. It runs inline on the
-// connection reader so faults are ordered against the same connection's
-// later data frames. The caller has already checked Config.EnableFaults.
+// handleFault applies one fault-injection command. Like everything else it
+// runs on the connection's goroutine, so a fault is ordered against the same
+// connection's later data frames (a campaign injects, then immediately sends
+// the traffic that should see the fault).
 func (s *Server) handleFault(f Frame) Response {
+	if !s.cfg.EnableFaults {
+		return Response{Status: StatusBadRequest, ID: f.ID, Payload: []byte("fault injection disabled")}
+	}
 	dec := json.NewDecoder(bytes.NewReader(f.Payload))
 	dec.DisallowUnknownFields()
 	var req FaultRequest
@@ -91,8 +95,8 @@ func (s *Server) handleFault(f Frame) Response {
 			return Response{Status: StatusBadRequest, ID: f.ID, Payload: []byte("die fault not armed")}
 		}
 		// Respond first, kill after: OnFaultDie runs on its own goroutine so
-		// the acknowledgement can flush through the writer before shutdown
-		// tears the connection down.
+		// the acknowledgement can be written and flushed before shutdown tears
+		// the connection down.
 		s.dieOnce.Do(func() { go s.cfg.OnFaultDie() })
 	default:
 		return Response{Status: StatusBadRequest, ID: f.ID, Payload: []byte(fmt.Sprintf("unknown fault kind %q", req.Kind))}

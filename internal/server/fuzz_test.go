@@ -1,18 +1,40 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
+	"reflect"
 	"testing"
 
 	"superfast/internal/telemetry"
 )
 
-// FuzzDecodeFrame feeds arbitrary bytes to the request-frame decoder: it must
-// never panic, never allocate beyond the validated payload bound, reject
-// truncated and oversized lengths with the right error class, and round-trip
-// whatever it accepts.
+// sameErrorClass reports whether a buffer decoder's error and a streaming
+// decoder's error over the same bytes say the same thing: both nil, both the
+// same protocol violation, or both "the input ends before the frame does"
+// (ErrShortFrame from a buffer, io.EOF or io.ErrUnexpectedEOF from a stream).
+func sameErrorClass(buffered, streamed error) bool {
+	switch {
+	case buffered == nil || streamed == nil:
+		return buffered == nil && streamed == nil
+	case errors.Is(buffered, ErrShortFrame):
+		return streamed == io.EOF || streamed == io.ErrUnexpectedEOF
+	case errors.Is(buffered, ErrBadFrame):
+		return errors.Is(streamed, ErrBadFrame)
+	default:
+		return errors.Is(buffered, ErrFrameSize) && errors.Is(streamed, ErrFrameSize)
+	}
+}
+
+// FuzzDecodeFrame feeds arbitrary bytes to both request-frame decoders: they
+// must never panic, never allocate beyond the validated payload bound, reject
+// truncated and oversized lengths with the right error class, round-trip
+// whatever they accept — and agree with each other on frame, length and
+// error class, since ReadFrame is what a connection runs and DecodeFrame what
+// the other properties are stated on.
 func FuzzDecodeFrame(f *testing.F) {
 	valid, _ := AppendFrame(nil, Frame{Op: OpWrite, ID: 7, LPN: 42, Payload: []byte("seed page")})
 	f.Add(valid)
@@ -27,6 +49,13 @@ func FuzzDecodeFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fr, n, err := DecodeFrame(b)
+		sfr, sn, serr := ReadFrame(bufio.NewReader(bytes.NewReader(b)))
+		if !sameErrorClass(err, serr) {
+			t.Fatalf("DecodeFrame says %v, ReadFrame %v", err, serr)
+		}
+		if sn > len(b) || (err == nil && (sn != n || !reflect.DeepEqual(sfr, fr))) {
+			t.Fatalf("DecodeFrame %+v in %d bytes, ReadFrame %+v in %d of %d", fr, n, sfr, sn, len(b))
+		}
 		if err != nil {
 			if n != 0 {
 				t.Fatalf("error %v consumed %d bytes", err, n)
@@ -34,7 +63,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			// A hostile length prefix must be classified before any payload
 			// allocation could happen.
 			if len(b) >= 4 {
-				if l := int(binary.BigEndian.Uint32(b)); l > reqHeaderLen+MaxPayload && !errors.Is(err, ErrFrameSize) {
+				if l := int(binary.BigEndian.Uint32(b)); l > reqHeaderLen+maxExtLen+MaxPayload && !errors.Is(err, ErrFrameSize) {
 					t.Fatalf("oversized length %d not ErrFrameSize: %v", l, err)
 				}
 			}
@@ -179,7 +208,7 @@ func FuzzDecodeTenantExt(f *testing.F) {
 	})
 }
 
-// FuzzDecodeResponse gives the response decoder the same treatment.
+// FuzzDecodeResponse gives the two response decoders the same treatment.
 func FuzzDecodeResponse(f *testing.F) {
 	ok, _ := AppendResponse(nil, Response{Status: StatusOK, ID: 1, Latency: 12.5, Payload: []byte("data")})
 	f.Add(ok)
@@ -190,6 +219,13 @@ func FuzzDecodeResponse(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r, n, err := DecodeResponse(b)
+		sr, sn, serr := ReadResponse(bufio.NewReader(bytes.NewReader(b)))
+		if !sameErrorClass(err, serr) {
+			t.Fatalf("DecodeResponse says %v, ReadResponse %v", err, serr)
+		}
+		if sn > len(b) || (err == nil && (sn != n || !reflect.DeepEqual(sr, r))) {
+			t.Fatalf("DecodeResponse %+v in %d bytes, ReadResponse %+v in %d of %d", r, n, sr, sn, len(b))
+		}
 		if err != nil {
 			return
 		}

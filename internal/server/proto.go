@@ -1,11 +1,12 @@
 // Package server exports the simulated SSD over TCP: a compact
 // length-prefixed binary protocol (READ / WRITE / TRIM / FLUSH / STAT /
-// PING) in front of ssd.ConcurrentDevice, with per-connection reader/writer
-// goroutine pairs, a shared admission controller (global and per-connection
-// in-flight caps, backpressure that stalls socket reads instead of buffering
-// unboundedly, per-request admission deadlines) and graceful drain on
-// shutdown. The matching pipelining client lives in server/client; the CLI
-// front ends are cmd/ftlserve and cmd/ftlload.
+// PING) in front of ssd.ConcurrentDevice, with one goroutine per connection
+// (it decodes a frame, submits it to the device and encodes the response
+// itself, in wire order), a shared admission controller (global and
+// per-connection in-flight caps, backpressure that stalls socket reads
+// instead of buffering unboundedly, per-request admission deadlines) and
+// graceful drain on shutdown. The matching pipelining client lives in
+// server/client; the CLI front ends are cmd/ftlserve and cmd/ftlload.
 //
 // Wire format (all integers big-endian):
 //
@@ -59,6 +60,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -87,6 +89,7 @@ const (
 	respHeaderLen = 20
 
 	maxExtLen = traceExtLen + tenantExtLen
+	maxReqLen = reqHeaderLen + maxExtLen + MaxPayload
 )
 
 // FlagSequenced marks a request carrying a replay ticket in Seq: the server
@@ -298,23 +301,79 @@ func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 	return append(dst, f.Payload...), nil
 }
 
-// DecodeFrame decodes one request frame from the head of b, returning the
-// frame and the bytes consumed. It returns ErrShortFrame when b ends before
-// the frame does, and never allocates more than the frame's validated
-// payload length. The returned payload is a copy, safe to retain after b is
-// reused.
-func DecodeFrame(b []byte) (Frame, int, error) {
-	if len(b) < 4 {
-		return Frame{}, 0, ErrShortFrame
+// wireLen validates a length prefix against the bounds of its frame kind.
+func wireLen(prefix []byte, lo, hi int) (int, error) {
+	n := int(binary.BigEndian.Uint32(prefix))
+	if n < lo || n > hi {
+		return 0, fmt.Errorf("%w: %d", ErrFrameSize, n)
 	}
-	n := int(binary.BigEndian.Uint32(b))
-	if n < reqHeaderLen || n > reqHeaderLen+maxExtLen+MaxPayload {
-		return Frame{}, 0, fmt.Errorf("%w: %d", ErrFrameSize, n)
+	return n, nil
+}
+
+// decodeWire decodes one frame of either kind from the head of b: the length
+// prefix must lie in [lo, hi], parse validates the min(n, maxHead) header
+// bytes after it and says where the payload starts, the payload is copied
+// out. ErrShortFrame means b ends before the frame (or its header) does.
+func decodeWire[T any](b []byte, lo, hi, maxHead int, parse func(h []byte, n int) (T, int, error)) (v T, payload []byte, used int, err error) {
+	if len(b) < 4 {
+		return v, nil, 0, ErrShortFrame
+	}
+	n, err := wireLen(b, lo, hi)
+	if err != nil {
+		return v, nil, 0, err
+	}
+	head := 4 + min(n, maxHead)
+	if len(b) < head {
+		return v, nil, 0, ErrShortFrame
+	}
+	t, body, err := parse(b[4:head], n)
+	if err != nil {
+		return v, nil, 0, err
 	}
 	if len(b) < 4+n {
-		return Frame{}, 0, ErrShortFrame
+		return v, nil, 0, ErrShortFrame
 	}
-	h := b[4:]
+	if n > body {
+		payload = append([]byte(nil), b[4+body:4+n]...)
+	}
+	return t, payload, 4 + n, nil
+}
+
+// readWire is decodeWire over a stream: the header is validated where it
+// lies in br's buffer (which must hold 4+maxHead bytes) and only the payload,
+// at exactly its size, is allocated. used is the wire bytes taken off br on
+// every path: a rejected frame has consumed what was examined, a truncated
+// one what arrived.
+func readWire[T any](br *bufio.Reader, lo, hi, maxHead int, parse func(h []byte, n int) (T, int, error)) (v T, payload []byte, used int, err error) {
+	var t T
+	var n, body int
+	head, err := br.Peek(4)
+	if err == nil {
+		if n, err = wireLen(head, lo, hi); err == nil {
+			if head, err = br.Peek(4 + min(n, maxHead)); err == nil {
+				if t, body, err = parse(head[4:], n); err == nil {
+					head = head[:4+body]
+				}
+			}
+		}
+	}
+	used, _ = br.Discard(len(head))
+	if err == nil && n > body {
+		payload = make([]byte, n-body)
+		var got int
+		got, err = io.ReadFull(br, payload)
+		used += got
+	}
+	if err != nil {
+		return v, nil, used, err
+	}
+	return t, payload, used, nil
+}
+
+// parseFrameHead validates and decodes a request frame up to its payload,
+// which starts at the offset returned. h starts after the length prefix and
+// holds min(n, reqHeaderLen+maxExtLen) bytes of the n-byte frame.
+func parseFrameHead(h []byte, n int) (Frame, int, error) {
 	if h[0] != Version {
 		return Frame{}, 0, fmt.Errorf("%w: version %d", ErrBadFrame, h[0])
 	}
@@ -377,29 +436,27 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 		if f.Op != OpWrite && f.Op != OpFault {
 			return Frame{}, 0, fmt.Errorf("%w: %s carries a payload", ErrBadFrame, f.Op)
 		}
-		f.Payload = append([]byte(nil), h[body:n]...)
 	}
-	return f, 4 + n, nil
+	return f, body, nil
 }
 
-// ReadFrame reads one request frame from r. The int return is the wire bytes
-// consumed (for transfer accounting) even when decoding fails mid-frame.
-func ReadFrame(r io.Reader) (Frame, int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, 0, err
-	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
-	if n < reqHeaderLen || n > reqHeaderLen+maxExtLen+MaxPayload {
-		return Frame{}, 4, fmt.Errorf("%w: %d", ErrFrameSize, n)
-	}
-	buf := make([]byte, 4+n)
-	copy(buf, hdr[:])
-	got, err := io.ReadFull(r, buf[4:])
-	if err != nil {
-		return Frame{}, 4 + got, err
-	}
-	f, used, err := DecodeFrame(buf)
+// DecodeFrame decodes one request frame from the head of b, returning the
+// frame and the bytes consumed. It returns ErrShortFrame when b ends before
+// the frame does, and never allocates more than the frame's validated
+// payload length. The returned payload is a copy, safe to retain after b is
+// reused.
+func DecodeFrame(b []byte) (Frame, int, error) {
+	f, payload, used, err := decodeWire(b, reqHeaderLen, maxReqLen, reqHeaderLen+maxExtLen, parseFrameHead)
+	f.Payload = payload
+	return f, used, err
+}
+
+// ReadFrame reads one request frame from br, accepting exactly what
+// DecodeFrame accepts. The int return is the wire bytes consumed (for
+// transfer accounting), whether or not decoding succeeds.
+func ReadFrame(br *bufio.Reader) (Frame, int, error) {
+	f, payload, used, err := readWire(br, reqHeaderLen, maxReqLen, reqHeaderLen+maxExtLen, parseFrameHead)
+	f.Payload = payload
 	return f, used, err
 }
 
@@ -408,28 +465,21 @@ func AppendResponse(dst []byte, r Response) ([]byte, error) {
 	if len(r.Payload) > MaxPayload {
 		return nil, fmt.Errorf("%w: payload %d > %d", ErrFrameSize, len(r.Payload), MaxPayload)
 	}
-	n := respHeaderLen + len(r.Payload)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
-	dst = append(dst, Version, byte(r.Status), 0, 0)
-	dst = binary.BigEndian.AppendUint64(dst, r.ID)
-	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(r.Latency))
-	return append(dst, r.Payload...), nil
+	return append(appendResponseHead(dst, r), r.Payload...), nil
 }
 
-// DecodeResponse decodes one response frame from the head of b, with the
-// same contract as DecodeFrame.
-func DecodeResponse(b []byte) (Response, int, error) {
-	if len(b) < 4 {
-		return Response{}, 0, ErrShortFrame
-	}
-	n := int(binary.BigEndian.Uint32(b))
-	if n < respHeaderLen || n > respHeaderLen+MaxPayload {
-		return Response{}, 0, fmt.Errorf("%w: %d", ErrFrameSize, n)
-	}
-	if len(b) < 4+n {
-		return Response{}, 0, ErrShortFrame
-	}
-	h := b[4:]
+// appendResponseHead encodes r's length prefix and header after dst; the
+// payload follows them on the wire.
+func appendResponseHead(dst []byte, r Response) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(respHeaderLen+len(r.Payload)))
+	dst = append(dst, Version, byte(r.Status), 0, 0)
+	dst = binary.BigEndian.AppendUint64(dst, r.ID)
+	return binary.BigEndian.AppendUint64(dst, math.Float64bits(r.Latency))
+}
+
+// parseResponseHead validates and decodes a response's header; h starts
+// after the length prefix.
+func parseResponseHead(h []byte, _ int) (Response, int, error) {
 	if h[0] != Version {
 		return Response{}, 0, fmt.Errorf("%w: version %d", ErrBadFrame, h[0])
 	}
@@ -447,31 +497,23 @@ func DecodeResponse(b []byte) (Response, int, error) {
 	if math.IsNaN(r.Latency) || math.IsInf(r.Latency, 0) {
 		return Response{}, 0, fmt.Errorf("%w: latency %v", ErrBadFrame, r.Latency)
 	}
-	if n > respHeaderLen {
-		r.Payload = append([]byte(nil), h[respHeaderLen:n]...)
-	}
-	return r, 4 + n, nil
+	return r, respHeaderLen, nil
 }
 
-// ReadResponse reads one response frame from r, returning the wire bytes
-// consumed alongside the decoded response.
-func ReadResponse(r io.Reader) (Response, int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Response{}, 0, err
-	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
-	if n < respHeaderLen || n > respHeaderLen+MaxPayload {
-		return Response{}, 4, fmt.Errorf("%w: %d", ErrFrameSize, n)
-	}
-	buf := make([]byte, 4+n)
-	copy(buf, hdr[:])
-	got, err := io.ReadFull(r, buf[4:])
-	if err != nil {
-		return Response{}, 4 + got, err
-	}
-	resp, used, err := DecodeResponse(buf)
-	return resp, used, err
+// DecodeResponse decodes one response frame from the head of b, with the
+// same contract as DecodeFrame.
+func DecodeResponse(b []byte) (Response, int, error) {
+	r, payload, used, err := decodeWire(b, respHeaderLen, respHeaderLen+MaxPayload, respHeaderLen, parseResponseHead)
+	r.Payload = payload
+	return r, used, err
+}
+
+// ReadResponse reads one response frame from br, with the same contract as
+// ReadFrame.
+func ReadResponse(br *bufio.Reader) (Response, int, error) {
+	r, payload, used, err := readWire(br, respHeaderLen, respHeaderLen+MaxPayload, respHeaderLen, parseResponseHead)
+	r.Payload = payload
+	return r, used, err
 }
 
 // ServerStats reports the serving layer's own counters inside a STAT
@@ -480,7 +522,7 @@ type ServerStats struct {
 	Conns     int64  `json:"conns"`       // connections currently open
 	ConnsEver uint64 `json:"conns_total"` // connections ever accepted
 	Accepted  uint64 `json:"accepted"`    // frames decoded off sockets
-	Responses uint64 `json:"responses"`   // responses enqueued to writers
+	Responses uint64 `json:"responses"`   // responses answered (written unless the peer is gone)
 	Rejected  uint64 `json:"rejected"`    // admission refusals (drain or deadline)
 	InFlight  int64  `json:"in_flight"`   // requests between admission and response
 	BytesIn   uint64 `json:"bytes_in"`

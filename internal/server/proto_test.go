@@ -1,15 +1,18 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
 
 	"superfast/internal/flash"
 	"superfast/internal/ftl"
+	"superfast/internal/telemetry"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -52,9 +55,9 @@ func TestReadFrameStream(t *testing.T) {
 	var buf []byte
 	buf, _ = AppendFrame(buf, Frame{Op: OpWrite, ID: 9, LPN: 3, Payload: []byte("abc")})
 	buf, _ = AppendFrame(buf, Frame{Op: OpRead, ID: 10, LPN: 3})
-	r := bytes.NewReader(buf)
+	r := bufio.NewReader(bytes.NewReader(buf))
 	f1, n1, err := ReadFrame(r)
-	if err != nil || f1.ID != 9 {
+	if err != nil || f1.ID != 9 || string(f1.Payload) != "abc" || cap(f1.Payload) != 3 {
 		t.Fatalf("frame 1: %+v, %v", f1, err)
 	}
 	f2, n2, err := ReadFrame(r)
@@ -64,8 +67,69 @@ func TestReadFrameStream(t *testing.T) {
 	if n1+n2 != len(buf) {
 		t.Fatalf("accounted %d of %d wire bytes", n1+n2, len(buf))
 	}
-	if _, _, err := ReadFrame(r); err == nil {
-		t.Fatal("empty stream should error")
+	if _, n, err := ReadFrame(r); err != io.EOF || n != 0 {
+		t.Fatalf("empty stream: %d bytes, %v; want 0, io.EOF", n, err)
+	}
+}
+
+// TestReadConsumedOnError pins transfer accounting on rejected frames: the
+// streaming decoders report the wire bytes they took off the reader on every
+// error path, and leave the reader exactly that far along.
+func TestReadConsumedOnError(t *testing.T) {
+	write, _ := AppendFrame(nil, Frame{Op: OpWrite, ID: 1, LPN: 2, Payload: bytes.Repeat([]byte("p"), 100)})
+	traced, _ := AppendFrame(nil, Frame{Op: OpRead, ID: 2, Flags: FlagTrace, Trace: 5, ParentHop: telemetry.HopNone})
+	resp, _ := AppendResponse(nil, Response{Status: StatusOK, ID: 1, Payload: []byte("data")})
+	mut := func(b []byte, f func(b []byte)) []byte {
+		b = append([]byte(nil), b...)
+		f(b)
+		return b
+	}
+	const tail = "next frame's bytes"
+	// A frame rejected at its header has consumed what was examined: the
+	// prefix and as much of the frame as a header with every extension spans.
+	const examined = 4 + reqHeaderLen + maxExtLen
+	cases := []struct {
+		name     string
+		b        []byte
+		response bool
+		want     error
+		used     int
+	}{
+		{"bad version", mut(write, func(b []byte) { b[4] = 9 }), false, ErrBadFrame, examined},
+		{"bad flags", mut(write, func(b []byte) { b[6] = 0x40 }), false, ErrBadFrame, examined},
+		{"payload on READ", mut(write, func(b []byte) { b[5] = byte(OpRead) }), false, ErrBadFrame, examined},
+		{"bad trace ext", mut(traced, func(b []byte) { b[4+reqHeaderLen+10] = 1 }), false, ErrBadFrame, len(traced)},
+		{"oversize length", mut(write, func(b []byte) { b[0] = 0xff }), false, ErrFrameSize, 4},
+		{"undersize length", mut(write, func(b []byte) { b[3] = reqHeaderLen - 1 }), false, ErrFrameSize, 4},
+		{"truncated payload", write[:len(write)-3], false, io.ErrUnexpectedEOF, len(write) - 3},
+		{"truncated header", write[:20], false, io.EOF, 20},
+		{"truncated prefix", write[:2], false, io.EOF, 2},
+		{"response bad version", mut(resp, func(b []byte) { b[4] = 9 }), true, ErrBadFrame, 4 + respHeaderLen},
+		{"response reserved set", mut(resp, func(b []byte) { b[7] = 1 }), true, ErrBadFrame, 4 + respHeaderLen},
+		{"response oversize length", mut(resp, func(b []byte) { b[0] = 0xff }), true, ErrFrameSize, 4},
+		{"response truncated payload", resp[:len(resp)-1], true, io.ErrUnexpectedEOF, len(resp) - 1},
+	}
+	for _, tc := range cases {
+		truncated := tc.want == io.EOF || tc.want == io.ErrUnexpectedEOF
+		in := tc.b
+		if !truncated {
+			in = append(append([]byte(nil), tc.b...), tail...)
+		}
+		br := bufio.NewReader(bytes.NewReader(in))
+		var n int
+		var err error
+		if tc.response {
+			_, n, err = ReadResponse(br)
+		} else {
+			_, n, err = ReadFrame(br)
+		}
+		if !errors.Is(err, tc.want) || n != tc.used {
+			t.Errorf("%s: consumed %d, err %v; want %d, %v", tc.name, n, err, tc.used, tc.want)
+		}
+		rest, _ := io.ReadAll(br)
+		if len(rest) != len(in)-tc.used {
+			t.Errorf("%s: %d bytes left on the reader, want %d", tc.name, len(rest), len(in)-tc.used)
+		}
 	}
 }
 
@@ -133,7 +197,7 @@ func TestResponseRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sr := bytes.NewReader(buf)
+	sr := bufio.NewReader(bytes.NewReader(buf))
 	total := 0
 	for i, want := range resps {
 		got, n, err := ReadResponse(sr)
@@ -165,7 +229,7 @@ func TestDecodeResponseErrors(t *testing.T) {
 	}{
 		{"empty", nil, ErrShortFrame},
 		{"truncated", valid[:len(valid)-1], ErrShortFrame},
-		{"undersized length", mut(func(b []byte) { b[0], b[1], b[2], b[3] = 0, 0, 0, respHeaderLen - 1 }), ErrFrameSize},
+		{"undersized length", mut(func(b []byte) { b[0], b[1], b[2], b[3] = 0, 0, 0, respHeaderLen-1 }), ErrFrameSize},
 		{"oversized length", mut(func(b []byte) { b[0] = 0xff }), ErrFrameSize},
 		{"bad version", mut(func(b []byte) { b[4] = 7 }), ErrBadFrame},
 		{"reserved set", mut(func(b []byte) { b[6] = 1 }), ErrBadFrame},
@@ -188,13 +252,13 @@ func TestDecodeResponseErrors(t *testing.T) {
 	if _, err := AppendResponse(nil, Response{Payload: make([]byte, MaxPayload+1)}); !errors.Is(err, ErrFrameSize) {
 		t.Errorf("oversized append: %v", err)
 	}
-	if _, _, err := ReadResponse(bytes.NewReader(nil)); err == nil {
+	if _, _, err := ReadResponse(bufio.NewReader(bytes.NewReader(nil))); err == nil {
 		t.Error("empty reader should error")
 	}
-	if _, _, err := ReadResponse(bytes.NewReader([]byte{0, 0, 0, 1})); !errors.Is(err, ErrFrameSize) {
+	if _, _, err := ReadResponse(bufio.NewReader(bytes.NewReader([]byte{0, 0, 0, 1}))); !errors.Is(err, ErrFrameSize) {
 		t.Error("bad stream length should error")
 	}
-	if _, _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 1})); !errors.Is(err, ErrFrameSize) {
+	if _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader([]byte{0, 0, 0, 1}))); !errors.Is(err, ErrFrameSize) {
 		t.Error("bad frame stream length should error")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -18,12 +19,12 @@ import (
 // Config parameterizes the block service.
 type Config struct {
 	// MaxInFlight caps requests between admission and response across all
-	// connections (default 256). Beyond it, connection readers stall — the
+	// connections (default 256). Beyond it, connections stall — the
 	// socket stops being read, and TCP backpressure reaches the client.
 	MaxInFlight int
-	// MaxPerConn caps one connection's in-flight requests (default 64). It
-	// also bounds the per-connection response buffer, so server memory is
-	// O(conns × MaxPerConn), never O(queued requests).
+	// MaxPerConn caps one connection's paced responses pending (default 64);
+	// at the cap the connection stops reading. Without Pace nothing pends: a
+	// request is answered before the next is read. Server memory is O(conns).
 	MaxPerConn int
 	// Deadline bounds a request's admission wait (0 = wait forever). A
 	// request that cannot be admitted in time is answered StatusDeadline.
@@ -65,8 +66,8 @@ type Config struct {
 	// advertises FaultCap. Off by default: fault injection is a test/
 	// campaign surface, never something to expose to real traffic.
 	EnableFaults bool
-	// OnFaultDie is invoked (from a handler goroutine, after the response
-	// is enqueued) when a "die" fault arrives. The CLI wires its shutdown
+	// OnFaultDie is invoked (on its own goroutine, alongside the response)
+	// when a "die" fault arrives. The CLI wires its shutdown
 	// path here so a campaign can kill one backend mid-workload. Nil
 	// rejects "die" faults.
 	OnFaultDie func()
@@ -276,17 +277,6 @@ func (s *Server) Stats() ServerStats {
 	return st
 }
 
-// ListenAndServe listens on addr and serves until Shutdown. The second
-// return of Listen-style helpers is not needed here; use Serve with your own
-// listener to learn the bound address first.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // Serve accepts connections on ln until Shutdown closes it. It returns nil
 // after a graceful shutdown and the accept error otherwise.
 func (s *Server) Serve(ln net.Listener) error {
@@ -317,7 +307,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// startConn registers nc and launches its reader/writer pair.
+// startConn registers nc and launches its goroutine.
 func (s *Server) startConn(nc net.Conn) {
 	s.mu.Lock()
 	if s.draining {
@@ -335,15 +325,16 @@ func (s *Server) startConn(nc net.Conn) {
 		s.met.connsEver.Inc()
 	}
 	c := &conn{
-		srv: s,
-		nc:  nc,
-		out: make(chan Response, s.cfg.MaxPerConn+8),
+		srv:   s,
+		nc:    nc,
+		br:    bufio.NewReaderSize(nc, 64<<10),
+		bw:    bufio.NewWriterSize(nc, 64<<10),
+		slots: make(chan struct{}, s.cfg.MaxPerConn),
 	}
-	c.cond = sync.NewCond(&c.lmu)
 	go c.run()
 }
 
-// forgetConn unregisters nc after its goroutines exit.
+// forgetConn unregisters nc after its goroutine exits.
 func (s *Server) forgetConn(nc net.Conn) {
 	s.mu.Lock()
 	delete(s.conns, nc)
@@ -373,8 +364,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		ln.Close()
 	}
 	s.adm.drain()
-	// Kick every reader out of its blocking frame read; readers see the
-	// deadline error with draining set and switch to their drain path.
+	// Kick every connection out of its blocking frame read; it sees the
+	// deadline error and switches to its drain path.
 	for _, nc := range conns {
 		nc.SetReadDeadline(time.Now())
 	}
@@ -397,59 +388,51 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// conn is one client connection: a reader goroutine decoding frames and
-// admitting requests, a writer goroutine encoding responses, and a bounded
-// set of in-flight handler goroutines between them.
+// conn is one client connection, served by one goroutine: it decodes a
+// frame, admits it, submits it and encodes the response into bw before it
+// decodes the next, so requests reach the device in wire order. Only a paced
+// response outlives its loop iteration; a timer writes it (DESIGN.md §9).
 type conn struct {
 	srv *Server
 	nc  net.Conn
-	out chan Response
+	br  *bufio.Reader
 
-	lmu      sync.Mutex
-	cond     *sync.Cond
-	inFlight int // local in-flight, capped at MaxPerConn
+	wmu sync.Mutex // serializes response writes: the loop and paced responses
+	bw  *bufio.Writer
 
-	handlers sync.WaitGroup
+	slots chan struct{} // one token per paced response pending, cap MaxPerConn
 }
 
-// run executes the connection lifecycle: writer in the background, reader in
-// the foreground, then the drain-and-close sequence.
+// run executes the connection lifecycle: the serve loop, then the
+// drain-and-close sequence.
 func (c *conn) run() {
 	defer c.srv.forgetConn(c.nc)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		c.writer()
-	}()
-	c.reader()
-	// Every accepted frame either responded already or has a handler in
-	// flight; wait for them, then let the writer flush and exit.
-	c.handlers.Wait()
-	close(c.out)
-	<-writerDone
+	c.serve()
+	// Every accepted frame is answered or has a paced response pending.
+	c.waitIdle()
+	c.flush()
 	// Graceful TCP teardown: FIN our side, then drain whatever the client
 	// had in flight toward us so the close cannot RST responses still
 	// sitting in the client's receive buffer.
 	if tc, ok := c.nc.(*net.TCPConn); ok {
 		tc.CloseWrite()
 		c.nc.SetReadDeadline(time.Now().Add(time.Second))
-		buf := make([]byte, 4096)
-		for {
-			if _, err := c.nc.Read(buf); err != nil {
-				break
-			}
-		}
+		io.Copy(io.Discard, c.nc)
 	}
 	c.nc.Close()
 }
 
-// reader decodes frames and dispatches them until the client closes its
-// side, a protocol error occurs, or shutdown kicks it out.
-func (c *conn) reader() {
+// serve decodes and answers frames until the client closes its side, a
+// protocol error occurs, or shutdown kicks it out of a read.
+func (c *conn) serve() {
 	s := c.srv
-	br := bufio.NewReaderSize(c.nc, 64<<10)
 	for {
-		f, n, err := ReadFrame(br)
+		// Flush before any read that can block (less than a frame header
+		// buffered); while input is buffered, responses share one write.
+		if c.br.Buffered() < 4+reqHeaderLen {
+			c.flush()
+		}
+		f, n, err := ReadFrame(c.br)
 		s.addBytesIn(uint64(n))
 		if err != nil {
 			return
@@ -463,109 +446,120 @@ func (c *conn) reader() {
 		case OpStat:
 			c.respond(s.statResponse(f.ID))
 		case OpFlush:
-			// Pipeline barrier: stall this connection's reads until its
-			// in-flight requests have responded, then acknowledge.
+			// Pipeline barrier: only paced responses can still be pending.
 			c.waitIdle()
 			c.respond(Response{Status: StatusOK, ID: f.ID})
 		case OpFault:
-			if !s.cfg.EnableFaults {
-				c.respond(Response{
-					Status: StatusBadRequest, ID: f.ID,
-					Payload: []byte("fault injection disabled"),
-				})
-				continue
-			}
-			// Handled inline on the reader: fault application must be
-			// ordered against this connection's later frames (a campaign
-			// injects, then immediately sends the traffic that should see
-			// the fault).
 			c.respond(s.handleFault(f))
 		case OpRead, OpWrite, OpTrim:
-			if f.Sequenced() != s.cfg.Sequenced {
-				c.respond(Response{
-					Status: StatusBadRequest, ID: f.ID,
-					Payload: []byte(fmt.Sprintf("sequenced flag %v but server sequenced=%v", f.Sequenced(), s.cfg.Sequenced)),
-				})
-				continue
-			}
-			if msg, ok := s.rebaseTenant(&f); !ok {
-				s.rejected.Add(1)
-				if s.met != nil {
-					s.met.rejected.Inc()
-				}
-				if s.cfg.Sequenced {
-					// The rejected ticket still occupies a position in the
-					// dense replay chain: retire it at admission and at the
-					// device so later tickets cannot wedge behind it.
-					s.adm.retire(f.Seq)
-					go s.dev.SubmitBatchTicket(s.seqBase+f.Seq, nil)
-				}
-				c.respond(Response{Status: StatusBadRequest, ID: f.ID, Payload: []byte(msg)})
-				continue
-			}
-			c.acquireLocal()
-			var deadline time.Time
-			if s.cfg.Deadline > 0 {
-				deadline = time.Now().Add(s.cfg.Deadline)
-			}
-			traced := s.cfg.Ledger != nil && f.Traced() && f.Trace != 0
-			var admStart time.Time
-			if traced {
-				admStart = time.Now()
-			}
-			aerr := s.adm.acquire(f.Seq, s.cfg.Sequenced, deadline, int(f.Tenant))
-			if traced {
-				st := StatusOK
-				if aerr == errDeadline {
-					st = StatusDeadline
-				} else if aerr != nil {
-					st = StatusRejected
-				}
-				s.cfg.Ledger.Record(telemetry.HopRecord{
-					Trace: f.Trace, Hop: telemetry.HopAdmission, Parent: f.ParentHop,
-					Leg: f.Leg, Seq: f.Seq, LPN: f.LPN, Status: byte(st),
-					SimTS: -1, WallNS: time.Since(admStart).Nanoseconds(),
-				})
-			}
-			if aerr != nil {
-				c.releaseLocal()
-				s.rejected.Add(1)
-				if s.met != nil {
-					s.met.rejected.Inc()
-				}
-				if t := s.tenant(f.Tenant); t != nil {
-					t.rejected.Add(1)
-					if t.mRejected != nil {
-						t.mRejected.Inc()
-					}
-				}
-				if s.cfg.Sequenced {
-					// Retire the ticket at the device so later tickets are
-					// not deadlocked behind the rejected one. Asynchronously:
-					// the empty submission itself waits for all earlier
-					// tickets, which may still be unread behind this frame on
-					// this very socket — retiring inline would wedge the
-					// reader. If the chain never completes (a client died
-					// mid-replay), the goroutine parks until process exit.
-					go s.dev.SubmitBatchTicket(s.seqBase+f.Seq, nil)
-				}
-				status := StatusRejected
-				if aerr == errDeadline {
-					status = StatusDeadline
-				}
-				c.respond(Response{Status: status, ID: f.ID, Payload: []byte(aerr.Error())})
-				continue
-			}
-			if t := s.tenant(f.Tenant); t != nil {
-				t.accepted.Add(1)
-				if t.mAccepted != nil {
-					t.mAccepted.Inc()
-				}
-			}
-			c.handlers.Add(1)
-			go c.handle(f)
+			c.data(f)
 		}
 	}
+}
+
+// data admits one data frame, submits it to the device and answers it.
+func (c *conn) data(f Frame) {
+	s := c.srv
+	if f.Sequenced() != s.cfg.Sequenced {
+		c.respond(Response{
+			Status: StatusBadRequest, ID: f.ID,
+			Payload: []byte(fmt.Sprintf("sequenced flag %v but server sequenced=%v", f.Sequenced(), s.cfg.Sequenced)),
+		})
+		return
+	}
+	if msg, ok := s.rebaseTenant(&f); !ok {
+		if s.cfg.Sequenced {
+			s.adm.retire(f.Seq) // acquire would have; it is never reached
+		}
+		c.reject(f, StatusBadRequest, msg)
+		return
+	}
+	var deadline time.Time
+	if s.cfg.Deadline > 0 {
+		deadline = time.Now().Add(s.cfg.Deadline)
+	}
+	traced := s.cfg.Ledger != nil && f.Traced() && f.Trace != 0
+	var admStart time.Time
+	if traced {
+		admStart = time.Now()
+	}
+	aerr := s.adm.acquire(f.Seq, s.cfg.Sequenced, deadline, int(f.Tenant))
+	status := StatusOK
+	if aerr == errDeadline {
+		status = StatusDeadline
+	} else if aerr != nil {
+		status = StatusRejected
+	}
+	if traced {
+		s.cfg.Ledger.Record(telemetry.HopRecord{
+			Trace: f.Trace, Hop: telemetry.HopAdmission, Parent: f.ParentHop,
+			Leg: f.Leg, Seq: f.Seq, LPN: f.LPN, Status: byte(status),
+			SimTS: -1, WallNS: time.Since(admStart).Nanoseconds(),
+		})
+	}
+	if aerr != nil {
+		c.reject(f, status, aerr.Error())
+		return
+	}
+	if t := s.tenant(f.Tenant); t != nil {
+		t.accepted.Add(1)
+		if t.mAccepted != nil {
+			t.mAccepted.Inc()
+		}
+	}
+
+	req := ssd.Request{LPN: f.LPN, Arrival: f.Arrival, Trace: f.Trace, Tenant: int(f.Tenant)}
+	switch f.Op {
+	case OpRead:
+		req.Kind = ssd.OpRead
+	case OpWrite:
+		req.Kind = ssd.OpWrite
+		req.Data = f.Payload
+		req.Hint = ftl.Hint(f.Hint)
+	case OpTrim:
+		req.Kind = ssd.OpTrim
+	}
+	var comp ssd.Completion
+	var err error
+	if s.cfg.Sequenced {
+		// Every earlier ticket is past admission (granted in Seq order):
+		// about to be submitted or retired, so the wait inside cannot wedge.
+		comp, err = s.dev.SubmitTicket(s.seqBase+f.Seq, req)
+	} else {
+		comp, err = s.dev.Submit(req)
+	}
+	resp := Response{ID: f.ID}
+	if traced {
+		s.recordDeviceHops(f, comp, err)
+	}
+	if err != nil {
+		resp.Status = StatusFor(err)
+		resp.Payload = []byte(err.Error())
+	} else {
+		resp.Latency = comp.Latency
+		if f.Op == OpRead {
+			resp.Payload = comp.Data
+		}
+		if s.cfg.Pace > 0 {
+			// The admission slot is held through the delay; at MaxPerConn
+			// responses pending the loop stalls here, and with it the socket.
+			us := comp.Latency * s.cfg.Pace
+			s.pacedSlept.Add(uint64(us))
+			tenant := int(f.Tenant)
+			c.slots <- struct{}{}
+			time.AfterFunc(time.Duration(us*float64(time.Microsecond)), func() {
+				s.adm.release(tenant)
+				c.respond(resp)
+				c.flush()
+				<-c.slots
+			})
+			return
+		}
+	}
+	// Released before a write that blocks if the client stopped reading:
+	// that must stall only this connection.
+	s.adm.release(int(f.Tenant))
+	c.respond(resp)
 }
 
 // tenant resolves a wire tenant id (1-based, 0 = untenanted) to its state,
@@ -595,59 +589,10 @@ func (s *Server) rebaseTenant(f *Frame) (string, bool) {
 		return fmt.Sprintf("unknown tenant %d", f.Tenant), false
 	}
 	if f.LPN < 0 || f.LPN >= t.pages {
-		t.rejected.Add(1)
-		if t.mRejected != nil {
-			t.mRejected.Inc()
-		}
 		return fmt.Sprintf("lpn %d outside namespace %q (%d pages)", f.LPN, t.name, t.pages), false
 	}
 	f.LPN += t.base
 	return "", true
-}
-
-// handle submits one admitted request to the device and responds.
-func (c *conn) handle(f Frame) {
-	defer c.handlers.Done()
-	s := c.srv
-	req := ssd.Request{LPN: f.LPN, Arrival: f.Arrival, Trace: f.Trace, Tenant: int(f.Tenant)}
-	switch f.Op {
-	case OpRead:
-		req.Kind = ssd.OpRead
-	case OpWrite:
-		req.Kind = ssd.OpWrite
-		req.Data = f.Payload
-		req.Hint = ftl.Hint(f.Hint)
-	case OpTrim:
-		req.Kind = ssd.OpTrim
-	}
-	var comp ssd.Completion
-	var err error
-	if s.cfg.Sequenced {
-		comp, err = s.dev.SubmitTicket(s.seqBase+f.Seq, req)
-	} else {
-		comp, err = s.dev.Submit(req)
-	}
-	resp := Response{ID: f.ID}
-	if s.cfg.Ledger != nil && f.Traced() && f.Trace != 0 {
-		s.recordDeviceHops(f, comp, err)
-	}
-	if err != nil {
-		resp.Status = StatusFor(err)
-		resp.Payload = []byte(err.Error())
-	} else {
-		resp.Latency = comp.Latency
-		if f.Op == OpRead {
-			resp.Payload = comp.Data
-		}
-		if s.cfg.Pace > 0 {
-			us := comp.Latency * s.cfg.Pace
-			s.pacedSlept.Add(uint64(us))
-			time.Sleep(time.Duration(us * float64(time.Microsecond)))
-		}
-	}
-	c.respond(resp)
-	s.adm.release(int(f.Tenant))
-	c.releaseLocal()
 }
 
 // recordDeviceHops splits one completion into the ledger's device hops:
@@ -696,76 +641,65 @@ func (s *Server) recordDeviceHops(f Frame, comp ssd.Completion, err error) {
 	led.Record(sv)
 }
 
-// writer encodes responses in completion order. After a write error it keeps
-// draining the channel (discarding) so handlers can never block on a dead
-// connection.
-func (c *conn) writer() {
-	bw := bufio.NewWriterSize(c.nc, 64<<10)
-	var buf []byte
-	var dead bool
-	for r := range c.out {
-		if dead {
-			continue
-		}
-		var err error
-		buf, err = AppendResponse(buf[:0], r)
-		if err != nil {
-			// Unencodable response (oversized payload): degrade to an
-			// internal error so the client still gets an answer for the ID.
-			buf, _ = AppendResponse(buf[:0], Response{
-				Status: StatusInternal, ID: r.ID, Payload: []byte(err.Error()),
-			})
-		}
-		if _, err := bw.Write(buf); err != nil {
-			dead = true
-			continue
-		}
-		c.srv.addBytesOut(uint64(len(buf)))
-		if len(c.out) == 0 {
-			if err := bw.Flush(); err != nil {
-				dead = true
-			}
-		}
+// reject answers a data request that will not reach the device. A sequenced
+// ticket is retired there or later tickets wedge behind it — asynchronously:
+// the empty submission waits for all earlier tickets, which may be unread
+// behind this frame on this very socket. If the chain never completes (a
+// client died mid-replay), the goroutine parks until process exit.
+func (c *conn) reject(f Frame, status Status, msg string) {
+	s := c.srv
+	s.addRejected(s.tenant(f.Tenant))
+	if s.cfg.Sequenced {
+		go s.dev.SubmitBatchTicket(s.seqBase+f.Seq, nil)
 	}
-	if !dead {
-		bw.Flush()
-	}
+	c.respond(Response{Status: status, ID: f.ID, Payload: []byte(msg)})
 }
 
-// respond enqueues one response and counts it.
+// respond counts one response and encodes it into bw, blocking when bw is
+// full and the client is not reading. After a write error bw keeps failing,
+// so responses to a dead connection are counted and dropped.
 func (c *conn) respond(r Response) {
-	c.srv.responses.Add(1)
-	if c.srv.met != nil {
-		c.srv.met.responses.Inc()
+	s := c.srv
+	s.responses.Add(1)
+	if s.met != nil {
+		s.met.responses.Inc()
 	}
-	c.out <- r
-}
-
-// acquireLocal blocks while the connection is at its in-flight cap —
-// stalling the reader, which stops draining the socket.
-func (c *conn) acquireLocal() {
-	c.lmu.Lock()
-	for c.inFlight >= c.srv.cfg.MaxPerConn {
-		c.cond.Wait()
+	if len(r.Payload) > MaxPayload {
+		// Unencodable response: degrade to an internal error so the client
+		// still gets an answer for the ID.
+		r = Response{
+			Status: StatusInternal, ID: r.ID,
+			Payload: []byte(fmt.Sprintf("%v: payload %d > %d", ErrFrameSize, len(r.Payload), MaxPayload)),
+		}
 	}
-	c.inFlight++
-	c.lmu.Unlock()
+	c.wmu.Lock()
+	// The header is encoded in bw's own free space; only the payload moves.
+	_, err := c.bw.Write(appendResponseHead(c.bw.AvailableBuffer(), r))
+	if err == nil {
+		_, err = c.bw.Write(r.Payload)
+	}
+	c.wmu.Unlock()
+	if err == nil {
+		s.addBytesOut(uint64(4 + respHeaderLen + len(r.Payload)))
+	}
 }
 
-func (c *conn) releaseLocal() {
-	c.lmu.Lock()
-	c.inFlight--
-	c.cond.Broadcast()
-	c.lmu.Unlock()
+// flush pushes buffered responses to the socket.
+func (c *conn) flush() {
+	c.wmu.Lock()
+	c.bw.Flush()
+	c.wmu.Unlock()
 }
 
-// waitIdle blocks until the connection has no request in flight.
+// waitIdle blocks until the connection has no paced response pending, by
+// taking every slot. Only the loop takes slots, so two fills never meet.
 func (c *conn) waitIdle() {
-	c.lmu.Lock()
-	for c.inFlight > 0 {
-		c.cond.Wait()
+	for i := 0; i < cap(c.slots); i++ {
+		c.slots <- struct{}{}
 	}
-	c.lmu.Unlock()
+	for i := 0; i < cap(c.slots); i++ {
+		<-c.slots
+	}
 }
 
 // statResponse snapshots the device, FTL and server counters. FTL state is
@@ -800,6 +734,21 @@ func (s *Server) addBytesOut(n uint64) {
 	s.bytesOut.Add(n)
 	if s.met != nil {
 		s.met.bytesOut.Add(n)
+	}
+}
+
+// addRejected counts one refused data request, against its tenant too when
+// it has one.
+func (s *Server) addRejected(t *tenantState) {
+	s.rejected.Add(1)
+	if s.met != nil {
+		s.met.rejected.Inc()
+	}
+	if t != nil {
+		t.rejected.Add(1)
+		if t.mRejected != nil {
+			t.mRejected.Inc()
+		}
 	}
 }
 

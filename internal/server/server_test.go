@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"net"
 	"reflect"
@@ -65,6 +66,7 @@ func startServer(t testing.TB, dev *ssd.ConcurrentDevice, cfg Config) (*Server, 
 type rawConn struct {
 	t  testing.TB
 	nc net.Conn
+	br *bufio.Reader
 }
 
 func dialRaw(t testing.TB, addr string) *rawConn {
@@ -74,7 +76,7 @@ func dialRaw(t testing.TB, addr string) *rawConn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { nc.Close() })
-	return &rawConn{t: t, nc: nc}
+	return &rawConn{t: t, nc: nc, br: bufio.NewReader(nc)}
 }
 
 func (c *rawConn) send(f Frame) error {
@@ -87,7 +89,7 @@ func (c *rawConn) send(f Frame) error {
 }
 
 func (c *rawConn) recv() (Response, error) {
-	r, _, err := ReadResponse(c.nc)
+	r, _, err := ReadResponse(c.br)
 	return r, err
 }
 
@@ -337,18 +339,8 @@ func TestLoopbackTraceReplayMatchesDirect(t *testing.T) {
 			go func() {
 				var buf []byte
 				for _, i := range mine {
-					f := Frame{ID: uint64(i + 1), LPN: reqs[i].LPN, Arrival: reqs[i].Arrival,
-						Flags: FlagSequenced, Seq: uint64(i)}
-					switch reqs[i].Kind {
-					case ssd.OpRead:
-						f.Op = OpRead
-					case ssd.OpWrite:
-						f.Op = OpWrite
-						f.Payload = reqs[i].Data
-						f.Hint = reqs[i].Hint
-					case ssd.OpTrim:
-						f.Op = OpTrim
-					}
+					f := frameFor(uint64(i+1), reqs[i])
+					f.Flags, f.Seq = FlagSequenced, uint64(i)
 					buf, err = AppendFrame(buf[:0], f)
 					if err != nil {
 						t.Error(err)
@@ -363,8 +355,9 @@ func TestLoopbackTraceReplayMatchesDirect(t *testing.T) {
 			for _, i := range mine {
 				idsToIndex[uint64(i+1)] = i
 			}
+			br := bufio.NewReader(nc)
 			for range mine {
-				r, _, err := ReadResponse(nc)
+				r, _, err := ReadResponse(br)
 				if err != nil {
 					t.Error(err)
 					return
@@ -441,8 +434,9 @@ func TestDrainUnderLoad(t *testing.T) {
 					}
 				}
 			}()
+			br := bufio.NewReader(nc)
 			for {
-				if _, _, err := ReadResponse(nc); err != nil {
+				if _, _, err := ReadResponse(br); err != nil {
 					break
 				}
 				clientGot.Add(1)

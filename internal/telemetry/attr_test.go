@@ -37,8 +37,8 @@ func TestAttributionChargesFirstSlowest(t *testing.T) {
 func TestAttributionSplitAndHistogram(t *testing.T) {
 	a := NewAttribution()
 	m2 := []BlockKey{{0, 0, 0}, {0, 1, 0}}
-	a.Record('p', false, true, m2, []float64{100, 103})  // host fast program, extra 3
-	a.Record('p', true, false, m2, []float64{100, 100})  // gc slow program, extra 0
+	a.Record('p', false, true, m2, []float64{100, 103})   // host fast program, extra 3
+	a.Record('p', true, false, m2, []float64{100, 100})   // gc slow program, extra 0
 	a.Record('e', true, false, m2, []float64{3000, 3900}) // gc slow erase, extra 900
 	r := a.Report(0)
 

@@ -110,14 +110,14 @@ type HopRecord struct {
 	Proc   string  `json:"proc,omitempty"` // exporting process ("load", "vol", "srv:addr")
 	Trace  uint64  `json:"trace"`          // trace id; 0 = untraced
 	Hop    Hop     `json:"hop"`
-	Parent Hop     `json:"parent"`          // upstream hop, HopNone at the root
-	Leg    uint8   `json:"leg,omitempty"`   // replica leg index within a fan-out
-	Seq    uint64  `json:"seq"`             // replay ticket (or 0)
-	LPN    int64   `json:"lpn"`             // logical page, -1 when not applicable
-	Status uint8   `json:"status,omitempty"` // wire status observed at this hop
-	Pages  int     `json:"pages,omitempty"` // GC pages relocated (background records)
-	SimTS  float64 `json:"sim_ts"`          // simulated start, µs; -1 = wall-only
-	SimUS  float64 `json:"sim_us"`          // simulated duration, µs
+	Parent Hop     `json:"parent"`            // upstream hop, HopNone at the root
+	Leg    uint8   `json:"leg,omitempty"`     // replica leg index within a fan-out
+	Seq    uint64  `json:"seq"`               // replay ticket (or 0)
+	LPN    int64   `json:"lpn"`               // logical page, -1 when not applicable
+	Status uint8   `json:"status,omitempty"`  // wire status observed at this hop
+	Pages  int     `json:"pages,omitempty"`   // GC pages relocated (background records)
+	SimTS  float64 `json:"sim_ts"`            // simulated start, µs; -1 = wall-only
+	SimUS  float64 `json:"sim_us"`            // simulated duration, µs
 	WallNS int64   `json:"wall_ns,omitempty"` // wall-clock duration, ns
 }
 

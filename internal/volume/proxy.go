@@ -153,9 +153,10 @@ func (p *Proxy) Shutdown(ctx context.Context) error {
 	}
 }
 
-// proxyConn mirrors the server's connection lifecycle: a reader admitting
-// frames, a writer encoding responses in completion order, and in-flight
-// handler goroutines between them.
+// proxyConn is one client connection: a reader admitting frames, a writer
+// encoding responses in completion order, and in-flight handler goroutines
+// between them. Unlike a backend's connection (one goroutine, serving
+// inline) a volume op waits on other machines, so here the hand-offs stay.
 type proxyConn struct {
 	p   *Proxy
 	nc  net.Conn
