@@ -5,7 +5,10 @@
 # are only trustworthy race-clean. The second -race leg re-runs the
 # parallel-core tests (the conservative-horizon device and the parallel
 # experiment identity check) with -count=1, so they execute fresh even when
-# the full-suite run above was served from the test cache.
+# the full-suite run above was served from the test cache. bench/ is a module
+# of its own that `./...` does not reach; vetting and testing it here (3 s) is
+# what notices when an API of client or volume that the benchmark harness
+# compiles against has moved.
 
 GO ?= go
 
@@ -24,6 +27,7 @@ check:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -run 'TestConcurrent|TestSimThroughputParallelIdentical' \
 		./internal/ssd ./internal/experiments
+	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 	$(MAKE) smoke
 	$(MAKE) storm
 

@@ -1,12 +1,17 @@
 package superfast_test
 
 import (
+	"context"
+	"net"
 	"testing"
+	"time"
 
 	"superfast/internal/flash"
 	"superfast/internal/ftl"
 	"superfast/internal/pv"
+	"superfast/internal/server/client"
 	"superfast/internal/ssd"
+	"superfast/internal/volume"
 )
 
 // TestFTLChurnAllocFree pins BenchmarkFTLChurn's steady state at zero heap
@@ -70,6 +75,47 @@ func TestFTLChurnAllocFree(t *testing.T) {
 // show up here as one more.
 func TestLoopbackRoundTripAllocs(t *testing.T) {
 	cl, capacity := loopbackClient(t)
+	checkRoundTripAllocs(t, "loopback", cl, capacity, 4, 4)
+}
+
+// TestProxyRoundTripAllocs pins the same budget one rung up: through the
+// proxy and a 4-backend, 2-replica volume a READ is one leg and a WRITE two.
+// On top of the loopback objects on each hop, an op costs the proxy its
+// volume.Call (replica set and legs inline) and a client.Call per leg — and
+// no goroutine, closure, placement slice or leg slice per op, each of which
+// would show up here as one more. Measured 4 and 9 (the devices are filled
+// with empty pages, so a read carries no payload); the limits leave one spare.
+func TestProxyRoundTripAllocs(t *testing.T) {
+	addrs := make([]string, 4)
+	for i := range addrs {
+		addrs[i], _ = loopbackServer(t)
+	}
+	v, err := volume.Dial(addrs, volume.Config{Stripe: 8, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(v.Close)
+	p := volume.NewProxy(v, volume.ProxyConfig{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go p.Serve(ln)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		p.Shutdown(ctx)
+	})
+	maxRead, maxWrite := 5.0, 10.0
+	if raceDetector {
+		maxRead, maxWrite = 6, 12 // one object more per leg, see raceDetector
+	}
+	checkRoundTripAllocs(t, "proxied", dialLoopback(t, ln.Addr().String()), v.Space(), maxRead, maxWrite)
+}
+
+// checkRoundTripAllocs measures the heap objects a READ and a 4 KiB WRITE
+// round trip cost, every goroutine's counted, against their limits.
+func checkRoundTripAllocs(t *testing.T, what string, cl *client.Client, capacity int64, maxRead, maxWrite float64) {
 	page := make([]byte, 4<<10)
 	i := int64(0)
 	read := func() {
@@ -85,18 +131,19 @@ func TestLoopbackRoundTripAllocs(t *testing.T) {
 		i++
 	}
 	for _, op := range []struct {
-		name string
-		fn   func()
-	}{{"READ", read}, {"4 KiB WRITE", write}} {
+		name  string
+		fn    func()
+		limit float64
+	}{{"READ", read, maxRead}, {"4 KiB WRITE", write, maxWrite}} {
 		// AllocsPerRun warms up with one call; the write pass before it lets
 		// the device's buffer circulation settle as in TestFTLChurnAllocFree.
 		for n := 0; n < 2000; n++ {
 			op.fn()
 		}
-		if n := testing.AllocsPerRun(2000, op.fn); n > 4 {
-			t.Errorf("loopback %s round trip allocates %.0f objects, want <= 4", op.name, n)
+		if n := testing.AllocsPerRun(2000, op.fn); n > op.limit {
+			t.Errorf("%s %s round trip allocates %.0f objects, want <= %.0f", what, op.name, n, op.limit)
 		} else {
-			t.Logf("loopback %s round trip: %.0f allocs", op.name, n)
+			t.Logf("%s %s round trip: %.0f allocs", what, op.name, n)
 		}
 	}
 }

@@ -207,10 +207,9 @@ func BenchmarkConcurrentDevice(b *testing.B) {
 	}
 }
 
-// loopbackClient serves a small filled concurrent device over TCP loopback
-// and dials it; both ends are torn down at cleanup. It returns the device
-// capacity alongside the client.
-func loopbackClient(tb testing.TB) (*client.Client, int64) {
+// loopbackServer serves a small filled concurrent device over TCP loopback,
+// torn down at cleanup, and returns its address and the device capacity.
+func loopbackServer(tb testing.TB) (string, int64) {
 	tb.Helper()
 	g := flash.TestGeometry()
 	g.BlocksPerPlane = 12
@@ -239,12 +238,25 @@ func loopbackClient(tb testing.TB) (*client.Client, int64) {
 		defer cancel()
 		srv.Shutdown(ctx)
 	})
-	cl, err := client.Dial(ln.Addr().String())
+	return ln.Addr().String(), dev.FTL().Capacity()
+}
+
+// loopbackClient dials a fresh loopbackServer; both ends are torn down at
+// cleanup. It returns the device capacity alongside the client.
+func loopbackClient(tb testing.TB) (*client.Client, int64) {
+	tb.Helper()
+	addr, capacity := loopbackServer(tb)
+	return dialLoopback(tb, addr), capacity
+}
+
+func dialLoopback(tb testing.TB, addr string) *client.Client {
+	tb.Helper()
+	cl, err := client.Dial(addr)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { cl.Close() })
-	return cl, dev.FTL().Capacity()
+	return cl
 }
 
 // BenchmarkServerLoopback drives the TCP block service end to end: a

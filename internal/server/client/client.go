@@ -174,24 +174,61 @@ func (c *Client) Fault(req server.FaultRequest) (server.FaultReport, error) {
 }
 
 // Call is one in-flight request: the slot its response (or the connection's
-// terminal error) lands in, and the one-shot signal that it has.
+// terminal error) lands in, and the one-shot signal that it has. A failed call
+// points at its client for the error, which keeps Call in the 80-byte class.
 type Call struct {
-	done sync.WaitGroup // released once, by readLoop or fail
-	resp server.Response
-	err  error
+	done   sync.WaitGroup // released once, by readLoop or fail
+	resp   server.Response
+	failed *Client // set instead of resp when the connection died
+	hook   *Hook
+}
+
+// Hook is a completion callback: Fn(Owner) runs once the call has resolved,
+// on the goroutine that resolved it — the connection's reader, which serves
+// every call, so Fn must not block. Embedded in the caller's per-op state
+// with a package-level Fn it costs no allocation.
+type Hook struct {
+	Fn    func(owner any)
+	Owner any
 }
 
 // Wait blocks until the response arrives or the connection dies.
 func (call *Call) Wait() (server.Response, error) {
 	call.done.Wait()
-	return call.resp, call.err
+	if call.failed != nil {
+		return server.Response{}, call.failed.Err()
+	}
+	return call.resp, nil
+}
+
+func (call *Call) resolve() {
+	call.done.Done()
+	if h := call.hook; h != nil {
+		h.Fn(h.Owner)
+	}
 }
 
 // Start sends one request without waiting for its response. The frame's ID
 // is assigned by the client; Seq/Arrival/Flags pass through untouched, so a
 // sequenced replay stamps them before calling Start.
-func (c *Client) Start(f server.Frame) (*Call, error) {
-	call := new(Call)
+func (c *Client) Start(f server.Frame) (*Call, error) { return c.send(f, nil, true) }
+
+// Queue is Start without the socket write: the frame waits in the write buffer
+// for the next Push or Start. hook, if non-nil, runs once the call resolves.
+func (c *Client) Queue(f server.Frame, hook *Hook) (*Call, error) { return c.send(f, hook, false) }
+
+// Push writes the queued frames to the socket; an error fails the connection.
+func (c *Client) Push() {
+	c.wmu.Lock()
+	err := c.bw.Flush()
+	c.wmu.Unlock()
+	if err != nil {
+		c.fail(fmt.Errorf("%w: %w", ErrConnLost, err))
+	}
+}
+
+func (c *Client) send(f server.Frame, hook *Hook, flush bool) (*Call, error) {
+	call := &Call{hook: hook}
 	call.done.Add(1)
 	c.pmu.Lock()
 	if c.err != nil {
@@ -223,8 +260,8 @@ func (c *Client) Start(f server.Frame) (*Call, error) {
 	if err == nil {
 		if _, werr := c.bw.Write(c.buf); werr != nil {
 			err = werr
-		} else if ferr := c.bw.Flush(); ferr != nil {
-			err = ferr
+		} else if flush {
+			err = c.bw.Flush()
 		}
 	}
 	c.wmu.Unlock()
@@ -237,8 +274,13 @@ func (c *Client) Start(f server.Frame) (*Call, error) {
 	}
 	if err != nil {
 		c.pmu.Lock()
+		_, unresolved := c.pending[f.ID]
 		delete(c.pending, f.ID)
 		c.pmu.Unlock()
+		if !unresolved {
+			// fail got there first and ran the hook: the error is in the call.
+			return call, nil
+		}
 		// An encoding error is the caller's frame, not the connection; only
 		// socket errors are terminal.
 		if !errors.Is(err, server.ErrFrameSize) && !errors.Is(err, server.ErrBadFrame) {
@@ -339,21 +381,23 @@ func (c *Client) readLoop() {
 		c.pmu.Unlock()
 		if ok {
 			call.resp = resp
-			call.done.Done()
+			call.resolve()
 		}
 	}
 }
 
-// fail records the terminal error once and wakes every pending call.
+// fail records the terminal error once and resolves every pending call with
+// it. Hooks run after pmu is released: they may start calls of their own.
 func (c *Client) fail(err error) {
 	c.pmu.Lock()
 	if c.err == nil {
 		c.err = err
 	}
-	for id, call := range c.pending {
-		delete(c.pending, id)
-		call.err = c.err
-		call.done.Done()
-	}
+	calls := c.pending
+	c.pending = nil // send checks err first and never inserts again
 	c.pmu.Unlock()
+	for _, call := range calls {
+		call.failed = c
+		call.resolve()
+	}
 }

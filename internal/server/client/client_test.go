@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"superfast/internal/flash"
 	"superfast/internal/ftl"
@@ -330,5 +331,111 @@ func TestClientHelloAndTraceLedger(t *testing.T) {
 	if hr.Hop != telemetry.HopClient || hr.Parent != telemetry.HopNone ||
 		hr.Trace != 9 || hr.LPN != 4 || hr.SimTS != -1 || hr.WallNS < 0 || hr.Proc != "ftlload" {
 		t.Fatalf("client hop record %+v", hr)
+	}
+}
+
+// TestCallSizeClass: a Call is allocated per request, so its size class is on
+// every wire workload's alloc_bytes_per_op. A hook pointer fits in 80 bytes
+// only because a failed call points at its client instead of carrying the
+// error; a 16-byte field more and every Call costs 96.
+func TestCallSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Call{}); n > 80 {
+		t.Fatalf("Call is %d bytes, want <= 80", n)
+	}
+}
+
+// TestQueueStaysOffTheWireUntilPush: queued frames share one write at the
+// next Push, in queue order, and each hook runs once its call has resolved.
+func TestQueueStaysOffTheWireUntilPush(t *testing.T) {
+	srv, addr := startServer(t, server.Config{})
+	c := dialTest(t, addr)
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	before := srv.Stats().Accepted
+	const n = 8
+	hooked := make(chan int, n)
+	hooks := make([]Hook, n)
+	calls := make([]*Call, n)
+	for i := range calls {
+		hooks[i] = Hook{Fn: func(owner any) { hooked <- owner.(int) }, Owner: i}
+		var err error
+		calls[i], err = c.Queue(server.Frame{Op: server.OpWrite, LPN: 5, Payload: []byte{byte(i)}}, &hooks[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(20 * time.Millisecond)
+	if got := srv.Stats().Accepted; got != before {
+		t.Fatalf("%d queued frames reached the server before Push", got-before)
+	}
+	c.Push()
+	seen := make(map[int]bool)
+	for range calls {
+		i := <-hooked
+		if seen[i] {
+			t.Fatalf("hook %d ran twice", i)
+		}
+		seen[i] = true
+		if r, err := calls[i].Wait(); err != nil || r.Status != server.StatusOK {
+			t.Fatalf("hook %d ran before its call resolved OK: %v %v", i, err, r.Status)
+		}
+	}
+	// The last frame queued is the last one written.
+	if r, err := c.Read(5); err != nil || r.Payload[0] != n-1 {
+		t.Fatalf("read back %v %v, want the last queued write", r.Payload[:1], err)
+	}
+	// Start pushes what was queued ahead of it.
+	q, err := c.Queue(server.Frame{Op: server.OpRead, LPN: 5}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFailRunsHooksUnlocked: a connection's death resolves every queued call
+// through its hook, and a hook may call back into the client — it runs with
+// no client lock held.
+func TestFailRunsHooksUnlocked(t *testing.T) {
+	_, addr := startServer(t, server.Config{})
+	c := dialTest(t, addr)
+	hooked := make(chan error, 2)
+	hook := Hook{Fn: func(owner any) {
+		cl := owner.(*Client)
+		_, err := cl.Start(server.Frame{Op: server.OpPing})
+		hooked <- errors.Join(cl.Err(), err)
+	}, Owner: c}
+	var calls [2]*Call
+	for i := range calls {
+		var err error
+		if calls[i], err = c.Queue(server.Frame{Op: server.OpRead, LPN: int64(i)}, &hook); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+	for i, call := range calls {
+		select {
+		case err := <-hooked:
+			if !errors.Is(err, ErrClosed) {
+				t.Fatalf("hook saw %v, want ErrClosed", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("hook did not run (or deadlocked on a client lock)")
+		}
+		if _, err := call.Wait(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("call %d: %v, want ErrClosed", i, err)
+		}
+	}
+	if _, err := c.Queue(server.Frame{Op: server.OpPing}, &hook); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Queue on a closed client: %v", err)
+	}
+	c.Push() // a no-op on a dead connection
+	if err := c.Err(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Push replaced the terminal error: %v", err)
 	}
 }

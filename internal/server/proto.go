@@ -90,6 +90,11 @@ const (
 
 	maxExtLen = traceExtLen + tenantExtLen
 	maxReqLen = reqHeaderLen + maxExtLen + MaxPayload
+
+	// MinFrameLen is the shortest request frame on the wire. With fewer
+	// bytes buffered the next ReadFrame can block, so a connection loop
+	// flushes what it has queued first.
+	MinFrameLen = 4 + reqHeaderLen
 )
 
 // FlagSequenced marks a request carrying a replay ticket in Seq: the server

@@ -429,7 +429,7 @@ func (c *conn) serve() {
 	for {
 		// Flush before any read that can block (less than a frame header
 		// buffered); while input is buffered, responses share one write.
-		if c.br.Buffered() < 4+reqHeaderLen {
+		if c.br.Buffered() < MinFrameLen {
 			c.flush()
 		}
 		f, n, err := ReadFrame(c.br)

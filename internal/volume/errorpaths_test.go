@@ -74,6 +74,51 @@ func TestProxyReplicatedWriteBackendDeath(t *testing.T) {
 	}
 }
 
+// TestProxyStartTimeTransportFailure: an op that cannot even be started
+// because a replica's transport is gone is the cluster's failure, not the
+// caller's — INTERNAL like the mid-scatter case above, never BAD_REQUEST, and
+// not counted as a rejected request. Only an LPN outside the volume is.
+func TestProxyStartTimeTransportFailure(t *testing.T) {
+	v, _ := startCluster(t, 2, server.Config{}, Config{Stripe: 2})
+	p, addr := startProxy(t, v)
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// A connection severed under the volume (client.ErrClosed at Queue).
+	onDead, onDown := lpnOn(t, v, 0), lpnOn(t, v, 1)
+	v.backend(0).c.Close()
+	// A backend marked down (ErrBackendDown: no healthy replica).
+	if err := v.KillBackend(1); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []server.Frame{
+		{Op: server.OpWrite, LPN: onDead, Payload: []byte("nowhere")},
+		{Op: server.OpRead, LPN: onDead},
+		{Op: server.OpWrite, LPN: onDown, Payload: []byte("nowhere")},
+		{Op: server.OpRead, LPN: onDown},
+	} {
+		r, err := c.Do(f)
+		if err != nil {
+			t.Fatalf("%v lpn %d must answer, not kill the conn: %v", f.Op, f.LPN, err)
+		}
+		if r.Status != server.StatusInternal || len(r.Payload) == 0 {
+			t.Fatalf("%v lpn %d with its backend gone answered %v %q, want INTERNAL and a diagnostic", f.Op, f.LPN, r.Status, r.Payload)
+		}
+	}
+	if st := p.Stats(); st.Rejected != 0 {
+		t.Fatalf("%d transport failures counted as rejected requests", st.Rejected)
+	}
+	if r, err := c.Do(server.Frame{Op: server.OpRead, LPN: v.Space()}); err != nil || r.Status != server.StatusBadRequest {
+		t.Fatalf("out-of-range: %v %v, want BAD_REQUEST", err, r.Status)
+	}
+	if st := p.Stats(); st.Rejected != 1 || st.Accepted != st.Responses {
+		t.Fatalf("proxy stats %+v", st)
+	}
+}
+
 // TestProxyScatterWorstStatus: when every leg answers but one answers badly,
 // the merged response reports the worst status while still carrying the
 // slowest successful leg's latency — a replicated op is only as good as its

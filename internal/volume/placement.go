@@ -7,6 +7,7 @@
 package volume
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -169,11 +170,14 @@ func (p *Placement) Active(b int) bool {
 // SlotsUsed returns the slots currently assigned on backend b.
 func (p *Placement) SlotsUsed(b int) int64 { return p.backends[b].used }
 
+// ErrOutOfRange marks an LPN outside the logical space: the caller's fault.
+var ErrOutOfRange = errors.New("volume: lpn out of range")
+
 // Locate appends the placed copies of lpn to out (primary first) and returns
 // the extended slice. Every copy lives on a distinct backend.
 func (p *Placement) Locate(lpn int64, out []Loc) ([]Loc, error) {
 	if lpn < 0 || lpn >= p.space {
-		return out, fmt.Errorf("volume: lpn %d outside [0, %d)", lpn, p.space)
+		return out, fmt.Errorf("%w: %d outside [0, %d)", ErrOutOfRange, lpn, p.space)
 	}
 	u := lpn / p.stripe
 	off := lpn % p.stripe

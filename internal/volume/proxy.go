@@ -4,12 +4,15 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"superfast/internal/ftl"
 	"superfast/internal/server"
 )
 
@@ -37,8 +40,9 @@ type Proxy struct {
 
 // ProxyConfig parameterizes the proxy.
 type ProxyConfig struct {
-	// MaxPerConn caps one connection's in-flight requests (default 64),
-	// bounding the per-connection response buffer.
+	// MaxPerConn caps the frames one connection has had accepted and not
+	// yet handed to its socket writer (default 64), bounding the
+	// per-connection response queue.
 	MaxPerConn int
 }
 
@@ -102,8 +106,8 @@ func (p *Proxy) startConn(nc net.Conn) {
 	p.mu.Unlock()
 	p.connsNow.Add(1)
 	p.connsEver.Add(1)
-	c := &proxyConn{p: p, nc: nc, out: make(chan server.Response, p.cfg.MaxPerConn+8)}
-	c.cond = sync.NewCond(&c.lmu)
+	n := p.cfg.MaxPerConn
+	c := &proxyConn{p: p, nc: nc, slots: make(chan struct{}, n), out: make(chan server.Response, n)}
 	go c.run()
 }
 
@@ -153,20 +157,20 @@ func (p *Proxy) Shutdown(ctx context.Context) error {
 	}
 }
 
-// proxyConn is one client connection: a reader admitting frames, a writer
-// encoding responses in completion order, and in-flight handler goroutines
-// between them. Unlike a backend's connection (one goroutine, serving
-// inline) a volume op waits on other machines, so here the hand-offs stay.
+// proxyConn is one client connection, two goroutines: a reader that admits
+// frames and queues their legs on the backend connections, and a writer that
+// encodes responses in completion order. An op completes on the reader of the
+// backend connection that answers its last leg, which every client of the
+// volume shares: the writer is what keeps that reader off this client's
+// socket (DESIGN.md §11).
 type proxyConn struct {
-	p   *Proxy
-	nc  net.Conn
-	out chan server.Response
+	p  *Proxy
+	nc net.Conn
 
-	lmu      sync.Mutex
-	cond     *sync.Cond
-	inFlight int
-
-	handlers sync.WaitGroup
+	// One token per frame accepted whose response the writer has not taken
+	// yet; out has a place for each, so queueing a response never blocks.
+	slots chan struct{}
+	out   chan server.Response
 }
 
 func (c *proxyConn) run() {
@@ -177,18 +181,13 @@ func (c *proxyConn) run() {
 		c.writer()
 	}()
 	c.reader()
-	c.handlers.Wait()
+	c.waitIdle(0)
 	close(c.out)
 	<-writerDone
 	if tc, ok := c.nc.(*net.TCPConn); ok {
 		tc.CloseWrite()
 		c.nc.SetReadDeadline(time.Now().Add(time.Second))
-		buf := make([]byte, 4096)
-		for {
-			if _, err := c.nc.Read(buf); err != nil {
-				break
-			}
-		}
+		io.Copy(io.Discard, c.nc)
 	}
 	c.nc.Close()
 }
@@ -198,11 +197,21 @@ func (c *proxyConn) reader() {
 	v := p.v
 	br := bufio.NewReaderSize(c.nc, 64<<10)
 	for {
+		// The server's rule: push before anything that can block; while input
+		// is buffered the legs queued per backend share one write. The waits
+		// inside the volume push for themselves.
+		if br.Buffered() < server.MinFrameLen {
+			v.pushQueued()
+		}
 		f, _, err := server.ReadFrame(br)
 		if err != nil {
 			return
 		}
 		p.accepted.Add(1)
+		if len(c.slots) == cap(c.slots) {
+			v.pushQueued()
+		}
+		c.slots <- struct{}{}
 		switch f.Op {
 		case server.OpPing:
 			// Advertise the trace extension like a backend would, so clients
@@ -213,7 +222,7 @@ func (c *proxyConn) reader() {
 		case server.OpFlush:
 			// Pipeline barrier: this connection's in-flight requests first,
 			// then every backend pipeline.
-			c.waitIdle()
+			c.waitIdle(1)
 			if err := v.Flush(); err != nil {
 				c.respond(server.Response{Status: server.StatusInternal, ID: f.ID, Payload: []byte(err.Error())})
 				continue
@@ -238,48 +247,46 @@ func (c *proxyConn) reader() {
 				c.respond(server.Response{Status: server.StatusRejected, ID: f.ID, Payload: []byte("volume: draining")})
 				continue
 			}
-			c.acquireLocal()
-			ca, err := c.startOp(f)
-			if err != nil {
-				c.releaseLocal()
-				p.rejected.Add(1)
-				c.respond(server.Response{Status: server.StatusBadRequest, ID: f.ID, Payload: []byte(err.Error())})
-				continue
+			if err := c.startOp(f); err != nil {
+				// Only an LPN outside the volume is the caller's fault.
+				status := server.StatusInternal
+				if errors.Is(err, ErrOutOfRange) {
+					status = server.StatusBadRequest
+					p.rejected.Add(1)
+				}
+				c.respond(server.Response{Status: status, ID: f.ID, Payload: []byte(err.Error())})
 			}
-			c.handlers.Add(1)
-			go c.finish(f.ID, ca)
 		}
 	}
 }
 
-// startOp maps one wire frame onto the volume. In sequenced mode the call
-// blocks until the frame's global ticket is admitted — per-connection seq
-// must therefore ascend, exactly as on a sequenced backend. An invalid LPN
-// consumes the ticket (the volume advances its cursor either way).
-func (c *proxyConn) startOp(f server.Frame) (*Call, error) {
-	v := c.p.v
+// startOp maps one wire frame onto the volume; the response arrives through
+// complete. In sequenced mode the call blocks until the frame's global ticket
+// is admitted — per-connection seq must therefore ascend, exactly as on a
+// sequenced backend. An invalid LPN consumes the ticket (the volume advances
+// its cursor either way).
+func (c *proxyConn) startOp(f server.Frame) error {
 	// Pass the client's trace context through: the volume's HopProxy records
 	// then point back at the hop that sent the frame.
-	tr := TraceRef{ID: f.Trace, Parent: f.ParentHop}
-	switch f.Op {
-	case server.OpRead:
-		return v.StartRead(f.LPN, f.Seq, f.Arrival, tr)
-	case server.OpWrite:
-		return v.StartWrite(f.LPN, f.Payload, f.Hint, f.Seq, f.Arrival, tr)
-	default:
-		return v.StartTrim(f.LPN, f.Seq, f.Arrival, tr)
+	ca := &Call{
+		op: f.Op, lpn: f.LPN, seq: f.Seq, tr: TraceRef{ID: f.Trace, Parent: f.ParentHop},
+		sink: c, id: f.ID,
 	}
+	if f.Op != server.OpWrite {
+		f.Hint = ftl.HintNone
+	}
+	_, err := c.p.v.start(ca, f.Payload, f.Hint, f.Arrival)
+	return err
 }
 
-func (c *proxyConn) finish(id uint64, ca *Call) {
-	defer c.handlers.Done()
+// complete gathers an op whose legs have all resolved and queues its response.
+func (c *proxyConn) complete(ca *Call) {
 	r, err := ca.Wait()
 	if err != nil {
 		r = server.Response{Status: server.StatusInternal, Payload: []byte(err.Error())}
 	}
-	r.ID = id
+	r.ID = ca.id
 	c.respond(r)
-	c.releaseLocal()
 }
 
 func (c *proxyConn) respond(r server.Response) {
@@ -287,13 +294,15 @@ func (c *proxyConn) respond(r server.Response) {
 	c.out <- r
 }
 
+// writer encodes everything queued and flushes when the queue runs empty.
 func (c *proxyConn) writer() {
 	bw := bufio.NewWriterSize(c.nc, 64<<10)
 	var buf []byte
 	var err error
 	for r := range c.out {
+		<-c.slots
 		if err != nil {
-			continue // drain so handlers never block on a dead connection
+			continue // keep taking, so a dead socket never backs completions up
 		}
 		buf, err = server.AppendResponse(buf[:0], r)
 		if err != nil {
@@ -314,28 +323,17 @@ func (c *proxyConn) writer() {
 	}
 }
 
-func (c *proxyConn) acquireLocal() {
-	c.lmu.Lock()
-	for c.inFlight >= c.p.cfg.MaxPerConn {
-		c.cond.Wait()
+// waitIdle blocks until only the reader's own frame (own is 0 or 1) holds a
+// slot, by taking every other. Only the reader puts tokens in.
+func (c *proxyConn) waitIdle(own int) {
+	c.p.v.pushQueued()
+	n := cap(c.slots) - own
+	for i := 0; i < n; i++ {
+		c.slots <- struct{}{}
 	}
-	c.inFlight++
-	c.lmu.Unlock()
-}
-
-func (c *proxyConn) releaseLocal() {
-	c.lmu.Lock()
-	c.inFlight--
-	c.cond.Broadcast()
-	c.lmu.Unlock()
-}
-
-func (c *proxyConn) waitIdle() {
-	c.lmu.Lock()
-	for c.inFlight > 0 {
-		c.cond.Wait()
+	for i := 0; i < n; i++ {
+		<-c.slots
 	}
-	c.lmu.Unlock()
 }
 
 func (p *Proxy) statResponse(id uint64) server.Response {

@@ -284,8 +284,9 @@ func TestVolumeDrainUnderLoad(t *testing.T) {
 
 	const n = 512
 	calls := make([]*client.Call, 0, n)
-	started := make(chan struct{})
+	started, sent := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(sent)
 		for i := 0; i < n; i++ {
 			call, err := c.Start(server.Frame{
 				Op: server.OpWrite, LPN: int64(i) % v.Space(),
@@ -314,6 +315,9 @@ func TestVolumeDrainUnderLoad(t *testing.T) {
 	if err := <-serveDone; err != nil {
 		t.Fatalf("serve: %v", err)
 	}
+	// The sender owns calls until it has returned; the drained proxy closed
+	// the connection, so its next Start fails if it has not sent everything.
+	<-sent
 
 	var ok, rejected, failed int
 	deadline := time.After(20 * time.Second)

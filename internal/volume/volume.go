@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"superfast/internal/ftl"
@@ -46,6 +47,7 @@ type backend struct {
 	seq    uint64 // next dense sequenced ticket for this backend
 	traced bool   // the backend advertised server.TraceCap at dial time
 	down   bool   // killed and awaiting restart (guarded by Volume.mu)
+	queued bool   // c holds legs queued but not pushed (guarded by Volume.mu)
 
 	lmu      sync.Mutex
 	readLat  stats.LatencyDigest
@@ -68,6 +70,7 @@ func (b *backend) observe(op server.Op, latUS float64) {
 type Volume struct {
 	cfg      Config
 	pageSize int
+	epoch    time.Time // origin of Call.t0: an offset is a third the size of a time.Time
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -129,7 +132,7 @@ func Dial(addrs []string, cfg Config) (*Volume, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("volume: no backends")
 	}
-	v := &Volume{cfg: cfg, copying: make(map[int64]bool)}
+	v := &Volume{cfg: cfg, epoch: time.Now(), copying: make(map[int64]bool)}
 	v.cond = sync.NewCond(&v.mu)
 	slots := make([]int64, 0, len(addrs))
 	minSlots := int64(-1)
@@ -218,12 +221,9 @@ func (v *Volume) count(f func(*Counters)) {
 // pointer at submission time: the v.bks table may grow concurrently under
 // AddBackend, but a *backend never moves once attached.
 type rcall struct {
-	b    int
 	bk   *backend
-	loc  Loc
 	call *client.Call
-	leg  uint8     // replica index within the op's fan-out
-	t0   time.Time // wall clock at leg submission, for the HopProxy record
+	leg  uint8 // replica index within the op's fan-out: the leg is placed at Call.locs[leg]
 }
 
 // backend returns the pinned entry for index i under the volume lock.
@@ -243,44 +243,90 @@ func (v *Volume) liveBackend(i int) *backend {
 	return v.bks[i]
 }
 
+// completer takes an op started for the proxy once every leg has resolved —
+// on a backend connection's reader, so complete must not block.
+type completer interface {
+	complete(ca *Call)
+}
+
 // Call is one in-flight volume operation; Wait resolves it.
 type Call struct {
 	v    *Volume
-	op   server.Op
 	lpn  int64
-	locs []Loc // full replica set at submission time
-	legs []rcall
+	seq  uint64 // global sequenced ticket (0 unsequenced)
 	tr   TraceRef
-	seq  uint64            // global sequenced ticket (0 unsequenced)
 	led  *telemetry.Ledger // pinned at submission under v.mu
+	t0   time.Duration     // wall clock at fan-out since v.epoch, for the HopProxy records (traced ops only)
+	locs []Loc             // full replica set at submission time
+	legs []rcall
+
+	// An op started for the proxy (sink != nil) is not waited for. Every leg
+	// carries hook, which takes one off owed — perhaps before the fan-out is
+	// over — and the submitter adds the leg count once it has let go of v.mu:
+	// whoever brings owed back to zero hands the op to sink.
+	sink   completer
+	id     uint64 // the client's frame ID
+	hook   client.Hook
+	owed   atomic.Int32
+	op     server.Op
+	locBuf [4]Loc // locs and legs live here up to four replicas
+	legBuf [4]rcall
 }
 
 // recordLeg appends one HopProxy record for a resolved replica leg: the
-// backend's simulated latency (what the scatter/gather saw) plus the leg's
-// wall-clock round trip from submission to response.
+// backend's simulated latency (what the scatter/gather saw) plus the wall
+// clock from the op's fan-out to the leg's response.
 func (ca *Call) recordLeg(leg rcall, r server.Response) {
 	if ca.led == nil || ca.tr.ID == 0 {
 		return
 	}
 	ca.led.Record(telemetry.HopRecord{
 		Trace: ca.tr.ID, Hop: telemetry.HopProxy, Parent: ca.tr.Parent,
-		Leg: leg.leg, Seq: ca.seq, LPN: leg.loc.SLPN, Status: byte(r.Status),
-		SimTS: -1, SimUS: r.Latency, WallNS: time.Since(leg.t0).Nanoseconds(),
+		Leg: leg.leg, Seq: ca.seq, LPN: ca.locs[leg.leg].SLPN, Status: byte(r.Status),
+		SimTS: -1, SimUS: r.Latency, WallNS: (time.Since(ca.v.epoch) - ca.t0).Nanoseconds(),
 	})
 }
 
-// startLocked fans one data op out to the replica set. Caller holds v.mu —
-// that is what keeps per-backend frames (and their dense sequenced tickets)
-// in submission order on each connection.
-func (v *Volume) startLocked(op server.Op, lpn int64, payload []byte, hint ftl.Hint, seq uint64, arrival float64, tr TraceRef) (*Call, error) {
-	locs, err := v.place.Locate(lpn, nil)
-	if err != nil {
-		return nil, err
+// settle moves owed by n and, at zero, hands the op to the sink.
+func (ca *Call) settle(n int32) {
+	if ca.owed.Add(n) != 0 {
+		return
 	}
-	ca := &Call{v: v, op: op, lpn: lpn, locs: locs, tr: tr, seq: seq, led: v.led}
-	plainRead := op == server.OpRead && !v.cfg.VerifyReads
+	// With every leg resolved Wait cannot block — except for a read that
+	// must retry or repair, with round trips only the reader running this
+	// hook can answer.
+	if _, err := ca.legs[0].call.Wait(); ca.op == server.OpRead && (err != nil || ca.v.cfg.VerifyReads) {
+		go ca.sink.complete(ca)
+		return
+	}
+	ca.sink.complete(ca)
+}
+
+func legDone(owner any) { owner.(*Call).settle(-1) }
+
+// startLocked fans one data op out to the replica set, queueing each leg on
+// its backend connection for a later push. Caller holds v.mu — that is what
+// keeps per-backend frames (and their dense sequenced tickets) in submission
+// order on each connection.
+func (v *Volume) startLocked(ca *Call, payload []byte, hint ftl.Hint, arrival float64) error {
+	if v.closed {
+		return client.ErrClosed
+	}
+	var err error
+	if ca.locs, err = v.place.Locate(ca.lpn, ca.locBuf[:0]); err != nil {
+		return err
+	}
+	ca.v, ca.led, ca.legs = v, v.led, ca.legBuf[:0]
+	var hook *client.Hook
+	if ca.sink != nil {
+		ca.hook, hook = client.Hook{Fn: legDone, Owner: ca}, &ca.hook
+	}
+	if ca.led != nil && ca.tr.ID != 0 {
+		ca.t0 = time.Since(v.epoch)
+	}
+	plainRead := ca.op == server.OpRead && !v.cfg.VerifyReads
 	var lastErr error
-	for i, l := range locs {
+	for i, l := range ca.locs {
 		b := v.bks[l.Backend]
 		if b.down {
 			// A killed backend drops out of the fan-out: reads fall through
@@ -295,72 +341,116 @@ func (v *Volume) startLocked(op server.Op, lpn int64, payload []byte, hint ftl.H
 			lastErr = fmt.Errorf("%w: backend %d (%s)", ErrBackendDown, l.Backend, b.addr)
 			continue
 		}
-		f := server.Frame{Op: op, LPN: l.SLPN, Hint: hint, Arrival: arrival}
-		if op == server.OpWrite {
+		f := server.Frame{Op: ca.op, LPN: l.SLPN, Hint: hint, Arrival: arrival}
+		if ca.op == server.OpWrite {
 			f.Payload = payload
 		}
 		if v.cfg.Sequenced {
 			f.Flags = server.FlagSequenced
 			f.Seq = b.seq
 		}
-		if tr.ID != 0 && b.traced {
+		if ca.tr.ID != 0 && b.traced {
 			// Propagate the trace context downstream: the volume is the
 			// proxy hop, so server-side records point back at it.
 			f.Flags |= server.FlagTrace
-			f.Trace = tr.ID
+			f.Trace = ca.tr.ID
 			f.ParentHop = telemetry.HopProxy
 			f.Leg = uint8(i)
 		}
-		t0 := time.Now()
-		call, err := b.c.Start(f)
+		call, err := b.c.Queue(f, hook)
 		if err != nil {
 			// An idempotent read whose replica connection is already dead
 			// falls through to the next copy; anything else fails the op.
-			if plainRead && !v.cfg.Sequenced && errors.Is(err, client.ErrConnLost) && i < len(locs)-1 {
+			if plainRead && !v.cfg.Sequenced && errors.Is(err, client.ErrConnLost) && i < len(ca.locs)-1 {
 				v.count(func(c *Counters) { c.Retries++ })
 				lastErr = err
 				continue
 			}
-			return nil, fmt.Errorf("volume: backend %d (%s): %w", l.Backend, b.addr, err)
+			return fmt.Errorf("volume: backend %d (%s): %w", l.Backend, b.addr, err)
 		}
+		b.queued = true
 		if v.cfg.Sequenced {
 			b.seq++
 		}
-		ca.legs = append(ca.legs, rcall{b: l.Backend, bk: b, loc: l, call: call, leg: uint8(i), t0: t0})
+		ca.legs = append(ca.legs, rcall{bk: b, call: call, leg: uint8(i)})
 		if plainRead {
 			break // plain reads hit one healthy replica
 		}
 	}
 	if len(ca.legs) == 0 {
-		return nil, fmt.Errorf("volume: no healthy replica for lpn %d: %w", lpn, lastErr)
+		return fmt.Errorf("volume: no healthy replica for lpn %d: %w", ca.lpn, lastErr)
 	}
-	return ca, nil
+	return nil
+}
+
+// pushQueued writes the queued legs of every backend to its socket — what a
+// reader batching ops does before anything that can block. The writes happen
+// outside v.mu: the lock never spans a syscall.
+func (v *Volume) pushQueued() {
+	var buf [8]*client.Client
+	cs := buf[:0]
+	v.mu.Lock()
+	for _, b := range v.bks {
+		if b.queued {
+			b.queued = false
+			cs = append(cs, b.c)
+		}
+	}
+	v.mu.Unlock()
+	for _, c := range cs {
+		c.Push() // a failed push fails the connection, and through it every leg queued there
+	}
+}
+
+// waitLocked blocks while blocked() holds and the volume is open, pushing the
+// queued legs first if it has to wait at all.
+func (v *Volume) waitLocked(blocked func() bool) {
+	if blocked() && !v.closed {
+		v.mu.Unlock()
+		v.pushQueued()
+		v.mu.Lock()
+	}
+	for blocked() && !v.closed {
+		v.cond.Wait()
+	}
 }
 
 // start admits one data op. In Sequenced mode it blocks until the global
 // cursor reaches seq, then advances it whether or not the op was accepted —
 // the ticket is consumed either way, exactly like the server's admission.
-func (v *Volume) start(op server.Op, lpn int64, payload []byte, hint ftl.Hint, seq uint64, arrival float64, tr TraceRef) (*Call, error) {
+func (v *Volume) start(ca *Call, payload []byte, hint ftl.Hint, arrival float64) (*Call, error) {
+	v.count(func(c *Counters) {
+		switch ca.op {
+		case server.OpRead:
+			c.Reads++
+		case server.OpWrite:
+			c.Writes++
+		default:
+			c.Trims++
+		}
+	})
 	v.mu.Lock()
-	defer v.mu.Unlock()
 	if v.cfg.Sequenced {
-		for seq != v.cursor && !v.closed {
-			v.cond.Wait()
-		}
-		defer func() {
-			v.cursor++
-			v.cond.Broadcast()
-		}()
+		v.waitLocked(func() bool { return ca.seq != v.cursor })
 	} else {
-		u := lpn / v.cfg.Stripe
-		for v.copying[u] && !v.closed {
-			v.cond.Wait()
-		}
+		u := ca.lpn / v.cfg.Stripe
+		v.waitLocked(func() bool { return v.copying[u] })
 	}
-	if v.closed {
-		return nil, client.ErrClosed
+	err := v.startLocked(ca, payload, hint, arrival)
+	if v.cfg.Sequenced {
+		v.cursor++
+		v.cond.Broadcast()
 	}
-	return v.startLocked(op, lpn, payload, hint, seq, arrival, tr)
+	v.mu.Unlock()
+	if ca.sink == nil {
+		v.pushQueued() // a caller that will Wait has no reader batching for it
+	} else if err == nil {
+		ca.settle(int32(len(ca.legs)))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return ca, nil
 }
 
 // SkipSeq consumes one global sequenced ticket without issuing an op — the
@@ -372,9 +462,7 @@ func (v *Volume) SkipSeq(seq uint64) {
 		return
 	}
 	v.mu.Lock()
-	for seq != v.cursor && !v.closed {
-		v.cond.Wait()
-	}
+	v.waitLocked(func() bool { return seq != v.cursor })
 	if seq == v.cursor {
 		v.cursor++
 		v.cond.Broadcast()
@@ -386,20 +474,17 @@ func (v *Volume) SkipSeq(seq uint64) {
 // global replay ticket, ignored unless the volume is sequenced; tr is the
 // trace context (zero = untraced).
 func (v *Volume) StartRead(lpn int64, seq uint64, arrival float64, tr TraceRef) (*Call, error) {
-	v.count(func(c *Counters) { c.Reads++ })
-	return v.start(server.OpRead, lpn, nil, ftl.HintNone, seq, arrival, tr)
+	return v.start(&Call{op: server.OpRead, lpn: lpn, seq: seq, tr: tr}, nil, ftl.HintNone, arrival)
 }
 
 // StartWrite begins an asynchronous write fanned out to every replica.
 func (v *Volume) StartWrite(lpn int64, data []byte, hint ftl.Hint, seq uint64, arrival float64, tr TraceRef) (*Call, error) {
-	v.count(func(c *Counters) { c.Writes++ })
-	return v.start(server.OpWrite, lpn, data, hint, seq, arrival, tr)
+	return v.start(&Call{op: server.OpWrite, lpn: lpn, seq: seq, tr: tr}, data, hint, arrival)
 }
 
 // StartTrim begins an asynchronous trim fanned out to every replica.
 func (v *Volume) StartTrim(lpn int64, seq uint64, arrival float64, tr TraceRef) (*Call, error) {
-	v.count(func(c *Counters) { c.Trims++ })
-	return v.start(server.OpTrim, lpn, nil, ftl.HintNone, seq, arrival, tr)
+	return v.start(&Call{op: server.OpTrim, lpn: lpn, seq: seq, tr: tr}, nil, ftl.HintNone, arrival)
 }
 
 // Wait resolves the operation. The returned Response carries the combined
@@ -454,7 +539,7 @@ func (ca *Call) waitRead() (server.Response, error) {
 	}
 	// The replica's connection died under an idempotent read: retry the
 	// remaining copies in placement order.
-	tried := ca.legs[0].b
+	tried := ca.locs[ca.legs[0].leg].Backend
 	for i, l := range ca.locs {
 		if l.Backend == tried {
 			continue
@@ -472,11 +557,10 @@ func (ca *Call) waitRead() (server.Response, error) {
 			f.ParentHop = telemetry.HopProxy
 			f.Leg = uint8(i)
 		}
-		t0 := time.Now()
 		r, rerr := rb.c.Do(f)
 		if rerr == nil {
 			rb.observe(server.OpRead, r.Latency)
-			ca.recordLeg(rcall{b: l.Backend, bk: rb, loc: l, leg: uint8(i), t0: t0}, r)
+			ca.recordLeg(rcall{bk: rb, leg: uint8(i)}, r)
 			return r, nil
 		}
 		err = rerr
@@ -524,7 +608,7 @@ func (ca *Call) waitVerifiedRead() (server.Response, error) {
 		}
 		v.count(func(c *Counters) { c.Repairs++ })
 		leg := ca.legs[i]
-		if wr, werr := leg.bk.c.Write(leg.loc.SLPN, out.Payload, ftl.HintNone); werr == nil {
+		if wr, werr := leg.bk.c.Write(ca.locs[leg.leg].SLPN, out.Payload, ftl.HintNone); werr == nil {
 			leg.bk.observe(server.OpWrite, wr.Latency)
 		}
 	}
