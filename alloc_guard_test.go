@@ -1,17 +1,13 @@
 package superfast_test
 
 import (
-	"context"
-	"net"
 	"testing"
-	"time"
 
 	"superfast/internal/flash"
 	"superfast/internal/ftl"
 	"superfast/internal/pv"
 	"superfast/internal/server/client"
 	"superfast/internal/ssd"
-	"superfast/internal/volume"
 )
 
 // TestFTLChurnAllocFree pins BenchmarkFTLChurn's steady state at zero heap
@@ -75,51 +71,37 @@ func TestFTLChurnAllocFree(t *testing.T) {
 // show up here as one more.
 func TestLoopbackRoundTripAllocs(t *testing.T) {
 	cl, capacity := loopbackClient(t)
-	checkRoundTripAllocs(t, "loopback", cl, capacity, 4, 4)
+	checkRoundTripAllocs(t, "loopback", cl, capacity, capacity, 4, 4)
 }
 
 // TestProxyRoundTripAllocs pins the same budget one rung up: through the
-// proxy and a 4-backend, 2-replica volume a READ is one leg and a WRITE two.
-// On top of the loopback objects on each hop, an op costs the proxy its
-// volume.Call (replica set and legs inline) and a client.Call per leg — and
-// no goroutine, closure, placement slice or leg slice per op, each of which
-// would show up here as one more. Measured 4 and 9 (the devices are filled
-// with empty pages, so a read carries no payload); the limits leave one spare.
+// proxy and a 4-backend, 2-replica volume a READ is one leg and a WRITE two,
+// over 4 KiB pages the test wrote itself (a read of a never-written page
+// carries no payload and hides every payload slice on its way). On top of the
+// loopback objects on each hop, an op costs the proxy its volume.Call (replica
+// set and legs inline) and a client.Call per leg — and no goroutine, closure,
+// placement slice or leg slice per op, and no payload slice of the proxy's own:
+// a WRITE is forwarded from the connection's read buffer, a READ's page lands
+// in a buffer the connection lends and takes back. Each of those would show up
+// here as one more. Measured 5 and 8; the limits leave one spare.
 func TestProxyRoundTripAllocs(t *testing.T) {
-	addrs := make([]string, 4)
-	for i := range addrs {
-		addrs[i], _ = loopbackServer(t)
-	}
-	v, err := volume.Dial(addrs, volume.Config{Stripe: 8, Replicas: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(v.Close)
-	p := volume.NewProxy(v, volume.ProxyConfig{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go p.Serve(ln)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		p.Shutdown(ctx)
-	})
-	maxRead, maxWrite := 5.0, 10.0
+	const pages = 256
+	cl, v := loopbackProxy(t, pages)
+	maxRead, maxWrite := 6.0, 9.0
 	if raceDetector {
-		maxRead, maxWrite = 6, 12 // one object more per leg, see raceDetector
+		maxRead, maxWrite = 7, 11 // one object more per leg, see raceDetector
 	}
-	checkRoundTripAllocs(t, "proxied", dialLoopback(t, ln.Addr().String()), v.Space(), maxRead, maxWrite)
+	checkRoundTripAllocs(t, "proxied", cl, v.Space(), pages, maxRead, maxWrite)
 }
 
-// checkRoundTripAllocs measures the heap objects a READ and a 4 KiB WRITE
-// round trip cost, every goroutine's counted, against their limits.
-func checkRoundTripAllocs(t *testing.T, what string, cl *client.Client, capacity int64, maxRead, maxWrite float64) {
+// checkRoundTripAllocs measures the heap objects a READ of the first pages
+// pages and a 4 KiB WRITE anywhere below capacity cost per round trip, every
+// goroutine's counted, against their limits.
+func checkRoundTripAllocs(t *testing.T, what string, cl *client.Client, capacity, pages int64, maxRead, maxWrite float64) {
 	page := make([]byte, 4<<10)
 	i := int64(0)
 	read := func() {
-		if _, err := cl.Read(i % capacity); err != nil {
+		if _, err := cl.Read(i % pages); err != nil {
 			t.Fatal(err)
 		}
 		i++

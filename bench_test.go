@@ -249,6 +249,40 @@ func loopbackClient(tb testing.TB) (*client.Client, int64) {
 	return dialLoopback(tb, addr), capacity
 }
 
+// loopbackProxy serves a 4-backend, 2-replica volume of loopbackServers
+// through a proxy and dials it; everything is torn down at cleanup. The first
+// pages logical pages hold 4 KiB of data, so reads of them carry a payload.
+func loopbackProxy(tb testing.TB, pages int64) (*client.Client, *volume.Volume) {
+	tb.Helper()
+	addrs := make([]string, 4)
+	for i := range addrs {
+		addrs[i], _ = loopbackServer(tb)
+	}
+	v, err := volume.Dial(addrs, volume.Config{Stripe: 8, Replicas: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(v.Close)
+	p := volume.NewProxy(v, volume.ProxyConfig{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	go p.Serve(ln)
+	tb.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		p.Shutdown(ctx)
+	})
+	cl := dialLoopback(tb, ln.Addr().String())
+	for lpn := int64(0); lpn < pages; lpn++ {
+		if _, err := cl.Write(lpn, make([]byte, 4<<10), ftl.HintNone); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return cl, v
+}
+
 func dialLoopback(tb testing.TB, addr string) *client.Client {
 	tb.Helper()
 	cl, err := client.Dial(addr)
@@ -299,6 +333,55 @@ func BenchmarkServerLoopback(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkProxyLoopback is the rung above BenchmarkServerLoopback: the same
+// pipelining client, but against the volume proxy over four loopback backends
+// with two replicas — vol-mixed-4x2 of the repository benchmark in miniature.
+// One iteration is a closed-loop burst of 2048 ops at depth 32, alternating
+// reads of written 4 KiB pages (one leg) and 4 KiB writes (two legs), after a
+// burst that warms the connections and the proxy's page buffers; so B/op and
+// allocs/op are those of 2048 steady-state ops, proxy, backends and client
+// together, which is what `make bench-compare` gates on.
+func BenchmarkProxyLoopback(b *testing.B) {
+	const (
+		ops   = 2048
+		depth = 32
+		pages = 512
+	)
+	cl, _ := loopbackProxy(b, pages)
+	page := make([]byte, 4<<10)
+	calls := make([]*client.Call, depth)
+	burst := func() {
+		for i := 0; i < ops+depth; i++ {
+			slot := i % depth
+			if calls[slot] != nil {
+				if r, err := calls[slot].Wait(); err != nil || r.Status != server.StatusOK {
+					b.Fatal(err, r.Status)
+				}
+				calls[slot] = nil
+			}
+			if i >= ops {
+				continue
+			}
+			f := server.Frame{Op: server.OpRead, LPN: int64(i) % pages}
+			if i%2 == 1 {
+				f = server.Frame{Op: server.OpWrite, LPN: int64(i) * 2654435761 % pages, Payload: page}
+			}
+			call, err := cl.Start(f)
+			if err != nil {
+				b.Fatal(err)
+			}
+			calls[slot] = call
+		}
+	}
+	burst()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		burst()
+	}
+	b.ReportMetric(float64(ops*b.N)/b.Elapsed().Seconds(), "ops/s")
 }
 
 // BenchmarkVolumeLoopback shows the volume layer's scaling story: the same

@@ -41,7 +41,6 @@ type Client struct {
 
 	wmu sync.Mutex // serializes frame writes
 	bw  *bufio.Writer
-	buf []byte
 
 	pmu     sync.Mutex
 	pending map[uint64]*Call
@@ -187,9 +186,14 @@ type Call struct {
 // on the goroutine that resolved it — the connection's reader, which serves
 // every call, so Fn must not block. Embedded in the caller's per-op state
 // with a package-level Fn it costs no allocation.
+//
+// Buf, if its capacity suffices, receives the response's payload instead of a
+// fresh slice. It is lent until Fn runs and must have no other writer: a hook
+// that lends a buffer rides on one call at a time.
 type Hook struct {
 	Fn    func(owner any)
 	Owner any
+	Buf   []byte
 }
 
 // Wait blocks until the response arrives or the connection dies.
@@ -255,12 +259,13 @@ func (c *Client) send(f server.Frame, hook *Hook, flush bool) (*Call, error) {
 		t0 = time.Now()
 	}
 	c.wmu.Lock()
-	var err error
-	c.buf, err = server.AppendFrame(c.buf[:0], f)
+	// The header is encoded in bw's own free space; only the payload moves.
+	head, err := server.AppendFrameHead(c.bw.AvailableBuffer(), f)
 	if err == nil {
-		if _, werr := c.bw.Write(c.buf); werr != nil {
-			err = werr
-		} else if flush {
+		if _, err = c.bw.Write(head); err == nil {
+			_, err = c.bw.Write(f.Payload)
+		}
+		if err == nil && flush {
 			err = c.bw.Flush()
 		}
 	}
@@ -365,12 +370,15 @@ func (c *Client) Stat() (server.StatSnapshot, error) {
 }
 
 // readLoop demultiplexes responses until the connection dies, then fails
-// every pending call.
+// every pending call. A payload is decoded where it lies in the read buffer
+// and leaves it once, for the buffer its call lent or a slice of its own size.
+// The call is out of pending before that copy, so fail never resolves a call
+// whose buffer is being written.
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
 	br := bufio.NewReaderSize(c.nc, 64<<10)
 	for {
-		resp, _, err := server.ReadResponse(br)
+		resp, held, err := server.PeekResponse(br)
 		if err != nil {
 			c.fail(fmt.Errorf("%w: %w", ErrConnLost, err))
 			return
@@ -379,6 +387,14 @@ func (c *Client) readLoop() {
 		call, ok := c.pending[resp.ID]
 		delete(c.pending, resp.ID)
 		c.pmu.Unlock()
+		if ok && held > 0 {
+			var dst []byte
+			if h := call.hook; h != nil && cap(h.Buf) >= held {
+				dst = h.Buf[:0]
+			}
+			resp.Payload = append(dst, resp.Payload...)
+		}
+		br.Discard(held)
 		if ok {
 			call.resp = resp
 			call.resolve()

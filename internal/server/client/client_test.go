@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -437,5 +438,65 @@ func TestFailRunsHooksUnlocked(t *testing.T) {
 	c.Push() // a no-op on a dead connection
 	if err := c.Err(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Push replaced the terminal error: %v", err)
+	}
+}
+
+// TestHookLendsPayloadBuffer: a payload leaves the connection's read buffer
+// once — for the buffer its call's hook lent, when that is big enough, else for
+// a slice of its own. Either way it is the caller's: later responses on the
+// connection, which land on the same read-buffer bytes, do not reach it.
+func TestHookLendsPayloadBuffer(t *testing.T) {
+	_, addr := startServer(t, server.Config{})
+	c := dialTest(t, addr)
+	page := func(b byte) []byte { return bytes.Repeat([]byte{b}, flash.TestGeometry().PageSize) }
+	for lpn := int64(0); lpn < 3; lpn++ {
+		if _, err := c.Write(lpn, page(byte('a'+lpn)), ftl.HintNone); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lent, small := make([]byte, 0, len(page(0))), make([]byte, 0, 8)
+	done := make(chan struct{}, 2)
+	hooks := []Hook{
+		{Fn: func(any) { done <- struct{}{} }, Buf: lent},
+		{Fn: func(any) { done <- struct{}{} }, Buf: small},
+	}
+	var calls [3]*Call
+	for i := range calls {
+		var hook *Hook
+		if i < len(hooks) {
+			hook = &hooks[i]
+		}
+		var err error
+		if calls[i], err = c.Queue(server.Frame{Op: server.OpRead, LPN: int64(i)}, hook); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Push()
+	var got [3][]byte
+	for i, call := range calls {
+		r, err := call.Wait()
+		if err != nil || r.Status != server.StatusOK {
+			t.Fatalf("read %d: %v %v", i, err, r.Status)
+		}
+		got[i] = r.Payload
+	}
+	<-done
+	<-done
+	// More traffic over the same read buffer.
+	for i := 0; i < 4; i++ {
+		if _, err := c.Read(2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, p := range got {
+		if !bytes.Equal(p, page(byte('a'+i))) {
+			t.Fatalf("read %d: payload starts %q, want %q", i, p[:4], page(byte('a' + i))[:4])
+		}
+	}
+	if &got[0][0] != &lent[:1][0] {
+		t.Error("a lent buffer big enough was not used")
+	}
+	if &got[1][0] == &small[:1][0] {
+		t.Error("a lent buffer too small was used")
 	}
 }

@@ -29,12 +29,56 @@ func sameErrorClass(buffered, streamed error) bool {
 	}
 }
 
+// peekSizes are the read-buffer sizes the in-place decoders are held to their
+// copying twins over: the smallest that holds a request head, so every larger
+// payload goes the allocating way; one a short frame fits and a page does not;
+// and bufio's default, where most inputs lie whole. (bufio's minimum of 16
+// bytes holds neither kind of header, which readWire requires of its reader.)
+var peekSizes = []int{4 + reqHeaderLen + maxExtLen, 256, 4096}
+
+// checkInPlace runs an in-place decoder over b once per peekSizes entry and
+// holds it to what the copying decoder returned over the same stream: the same
+// value, the same error and — once the held payload is let go — the reader
+// left in the same place, on every path. A payload is held exactly when it
+// fits the buffer, and then it is the buffer's own bytes.
+func checkInPlace[T any](t *testing.T, b []byte, peek func(*bufio.Reader) (T, int, error), payload func(T) []byte, want T, used int, wantErr error) {
+	t.Helper()
+	for _, size := range peekSizes {
+		br := bufio.NewReaderSize(bytes.NewReader(b), size)
+		got, held, err := peek(br)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("%d-byte reader: in place %v, copying %v", size, err, wantErr)
+		}
+		if err == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d-byte reader: in place %+v, copying %+v", size, got, want)
+		}
+		wantHeld := 0
+		if pay := payload(got); err == nil && len(pay) <= size {
+			wantHeld = len(pay)
+		}
+		if held != wantHeld {
+			t.Fatalf("%d-byte reader: %d bytes held, want %d (err %v)", size, held, wantHeld, err)
+		}
+		if in, _ := br.Peek(held); held > 0 && &in[0] != &payload(got)[0] {
+			t.Fatalf("%d-byte reader: held payload is not the buffer's bytes", size)
+		}
+		br.Discard(held)
+		if rest, _ := io.ReadAll(br); len(b)-len(rest) != used {
+			t.Fatalf("%d-byte reader: in place consumed %d of %d bytes, copying %d (err %v)", size, len(b)-len(rest), len(b), used, err)
+		}
+	}
+}
+
+func framePayload(f Frame) []byte       { return f.Payload }
+func responsePayload(r Response) []byte { return r.Payload }
+
 // FuzzDecodeFrame feeds arbitrary bytes to both request-frame decoders: they
 // must never panic, never allocate beyond the validated payload bound, reject
 // truncated and oversized lengths with the right error class, round-trip
 // whatever they accept — and agree with each other on frame, length and
 // error class, since ReadFrame is what a connection runs and DecodeFrame what
-// the other properties are stated on.
+// the other properties are stated on. PeekFrame, which a forwarder runs, is
+// held to ReadFrame in turn (checkInPlace).
 func FuzzDecodeFrame(f *testing.F) {
 	valid, _ := AppendFrame(nil, Frame{Op: OpWrite, ID: 7, LPN: 42, Payload: []byte("seed page")})
 	f.Add(valid)
@@ -46,6 +90,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(short)
 	seq, _ := AppendFrame(nil, Frame{Op: OpRead, ID: 2, LPN: 3, Flags: FlagSequenced, Seq: 9, Arrival: 1.5})
 	f.Add(seq)
+	page, _ := AppendFrame(nil, Frame{Op: OpWrite, ID: 3, LPN: 4, Payload: bytes.Repeat([]byte("page"), 1<<10)})
+	f.Add(page)                                         // fits no reader of peekSizes: the allocating way
+	f.Add(append(page[:len(page):len(page)], short...)) // and the frame behind it
+	f.Add(page[:len(page)-1])
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fr, n, err := DecodeFrame(b)
@@ -56,6 +104,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		if sn > len(b) || (err == nil && (sn != n || !reflect.DeepEqual(sfr, fr))) {
 			t.Fatalf("DecodeFrame %+v in %d bytes, ReadFrame %+v in %d of %d", fr, n, sfr, sn, len(b))
 		}
+		checkInPlace(t, b, PeekFrame, framePayload, sfr, sn, serr)
 		if err != nil {
 			if n != 0 {
 				t.Fatalf("error %v consumed %d bytes", err, n)
@@ -216,6 +265,10 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add(rej)
 	f.Add(ok[:2])
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 0})
+	page, _ := AppendResponse(nil, Response{Status: StatusOK, ID: 3, Payload: bytes.Repeat([]byte("page"), 1<<10)})
+	f.Add(page)
+	f.Add(append(page[:len(page):len(page)], rej...))
+	f.Add(page[:len(page)-1])
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r, n, err := DecodeResponse(b)
@@ -226,6 +279,7 @@ func FuzzDecodeResponse(f *testing.F) {
 		if sn > len(b) || (err == nil && (sn != n || !reflect.DeepEqual(sr, r))) {
 			t.Fatalf("DecodeResponse %+v in %d bytes, ReadResponse %+v in %d of %d", r, n, sr, sn, len(b))
 		}
+		checkInPlace(t, b, PeekResponse, responsePayload, sr, sn, serr)
 		if err != nil {
 			return
 		}

@@ -274,6 +274,17 @@ var (
 // extension is written only when FlagTrace is set, so an untraced frame's
 // encoding is byte-identical to plain v1.
 func AppendFrame(dst []byte, f Frame) ([]byte, error) {
+	dst, err := AppendFrameHead(dst, f)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, f.Payload...), nil
+}
+
+// AppendFrameHead validates f and encodes its length prefix, header and
+// extensions after dst; the payload follows them on the wire. A sender that
+// encodes into its write buffer's free space moves the payload only once.
+func AppendFrameHead(dst []byte, f Frame) ([]byte, error) {
 	if len(f.Payload) > MaxPayload {
 		return nil, fmt.Errorf("%w: payload %d > %d", ErrFrameSize, len(f.Payload), MaxPayload)
 	}
@@ -303,7 +314,7 @@ func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 		dst = binary.BigEndian.AppendUint16(dst, 0)
 		dst = binary.BigEndian.AppendUint32(dst, 0)
 	}
-	return append(dst, f.Payload...), nil
+	return dst, nil
 }
 
 // wireLen validates a length prefix against the bounds of its frame kind.
@@ -349,7 +360,12 @@ func decodeWire[T any](b []byte, lo, hi, maxHead int, parse func(h []byte, n int
 // at exactly its size, is allocated. used is the wire bytes taken off br on
 // every path: a rejected frame has consumed what was examined, a truncated
 // one what arrived.
-func readWire[T any](br *bufio.Reader, lo, hi, maxHead int, parse func(h []byte, n int) (T, int, error)) (v T, payload []byte, used int, err error) {
+//
+// With inPlace set a payload that fits br's buffer is not taken off br either:
+// it is returned where it lies, and the caller owes br a Discard of held bytes
+// once it is done with it — the next read of br overwrites it. A payload that
+// does not fit, or does not arrive whole, goes the allocating way.
+func readWire[T any](br *bufio.Reader, lo, hi, maxHead int, inPlace bool, parse func(h []byte, n int) (T, int, error)) (v T, payload []byte, used, held int, err error) {
 	var t T
 	var n, body int
 	head, err := br.Peek(4)
@@ -363,6 +379,12 @@ func readWire[T any](br *bufio.Reader, lo, hi, maxHead int, parse func(h []byte,
 		}
 	}
 	used, _ = br.Discard(len(head))
+	if err == nil && inPlace && n > body && n-body <= br.Size() {
+		if payload, err = br.Peek(n - body); err == nil {
+			return t, payload, used, n - body, nil
+		}
+		err = nil // truncated or timed out: the read below reports it
+	}
 	if err == nil && n > body {
 		payload = make([]byte, n-body)
 		var got int
@@ -370,9 +392,9 @@ func readWire[T any](br *bufio.Reader, lo, hi, maxHead int, parse func(h []byte,
 		used += got
 	}
 	if err != nil {
-		return v, nil, used, err
+		return v, nil, used, 0, err
 	}
-	return t, payload, used, nil
+	return t, payload, used, 0, nil
 }
 
 // parseFrameHead validates and decodes a request frame up to its payload,
@@ -460,17 +482,35 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 // DecodeFrame accepts. The int return is the wire bytes consumed (for
 // transfer accounting), whether or not decoding succeeds.
 func ReadFrame(br *bufio.Reader) (Frame, int, error) {
-	f, payload, used, err := readWire(br, reqHeaderLen, maxReqLen, reqHeaderLen+maxExtLen, parseFrameHead)
+	f, payload, used, _, err := readWire(br, reqHeaderLen, maxReqLen, reqHeaderLen+maxExtLen, false, parseFrameHead)
 	f.Payload = payload
 	return f, used, err
 }
 
+// PeekFrame is ReadFrame for a forwarder, which is done with a payload before
+// it reads on: a payload that fits br's buffer stays there, f.Payload aliases
+// it, and the caller must br.Discard(held) after its last use of it (held is 0
+// when nothing is held back). The int return is held, not the bytes consumed.
+func PeekFrame(br *bufio.Reader) (f Frame, held int, err error) {
+	f, f.Payload, _, held, err = readWire(br, reqHeaderLen, maxReqLen, reqHeaderLen+maxExtLen, true, parseFrameHead)
+	return f, held, err
+}
+
 // AppendResponse encodes r after dst and returns the extended slice.
 func AppendResponse(dst []byte, r Response) ([]byte, error) {
+	dst, err := AppendResponseHead(dst, r)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, r.Payload...), nil
+}
+
+// AppendResponseHead is AppendFrameHead for a response.
+func AppendResponseHead(dst []byte, r Response) ([]byte, error) {
 	if len(r.Payload) > MaxPayload {
 		return nil, fmt.Errorf("%w: payload %d > %d", ErrFrameSize, len(r.Payload), MaxPayload)
 	}
-	return append(appendResponseHead(dst, r), r.Payload...), nil
+	return appendResponseHead(dst, r), nil
 }
 
 // appendResponseHead encodes r's length prefix and header after dst; the
@@ -516,9 +556,15 @@ func DecodeResponse(b []byte) (Response, int, error) {
 // ReadResponse reads one response frame from br, with the same contract as
 // ReadFrame.
 func ReadResponse(br *bufio.Reader) (Response, int, error) {
-	r, payload, used, err := readWire(br, respHeaderLen, respHeaderLen+MaxPayload, respHeaderLen, parseResponseHead)
+	r, payload, used, _, err := readWire(br, respHeaderLen, respHeaderLen+MaxPayload, respHeaderLen, false, parseResponseHead)
 	r.Payload = payload
 	return r, used, err
+}
+
+// PeekResponse is to ReadResponse what PeekFrame is to ReadFrame.
+func PeekResponse(br *bufio.Reader) (r Response, held int, err error) {
+	r, r.Payload, _, held, err = readWire(br, respHeaderLen, respHeaderLen+MaxPayload, respHeaderLen, true, parseResponseHead)
+	return r, held, err
 }
 
 // ServerStats reports the serving layer's own counters inside a STAT

@@ -74,7 +74,8 @@ func TestReadFrameStream(t *testing.T) {
 
 // TestReadConsumedOnError pins transfer accounting on rejected frames: the
 // streaming decoders report the wire bytes they took off the reader on every
-// error path, and leave the reader exactly that far along.
+// error path, and leave the reader exactly that far along — the in-place ones
+// too, whether or not the frame fits their reader.
 func TestReadConsumedOnError(t *testing.T) {
 	write, _ := AppendFrame(nil, Frame{Op: OpWrite, ID: 1, LPN: 2, Payload: bytes.Repeat([]byte("p"), 100)})
 	traced, _ := AppendFrame(nil, Frame{Op: OpRead, ID: 2, Flags: FlagTrace, Trace: 5, ParentHop: telemetry.HopNone})
@@ -130,6 +131,13 @@ func TestReadConsumedOnError(t *testing.T) {
 		if len(rest) != len(in)-tc.used {
 			t.Errorf("%s: %d bytes left on the reader, want %d", tc.name, len(rest), len(in)-tc.used)
 		}
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.response {
+				checkInPlace(t, in, PeekResponse, responsePayload, Response{}, tc.used, err)
+			} else {
+				checkInPlace(t, in, PeekFrame, framePayload, Frame{}, tc.used, err)
+			}
+		})
 	}
 }
 

@@ -254,3 +254,21 @@ func TestQueuedLegsFlushBeforeBlocking(t *testing.T) {
 		t.Fatalf("ticket 2: response %d %v", r.ID, r.Status)
 	}
 }
+
+// TestProxyLetsGoOfFrameBeforeBlocking: a WRITE's payload stays in the read
+// buffer while the frame is served, and a held frame counts as buffered input.
+// The reader must discard it before it asks whether more input is buffered —
+// or, at depth 1, it takes its own frame for the next one, skips the push and
+// blocks on the socket with the write's legs still queued. (Shown to hang with
+// the Discard moved below the test in proxyConn.reader.)
+func TestProxyLetsGoOfFrameBeforeBlocking(t *testing.T) {
+	v, _ := startCluster(t, 2, server.Config{}, Config{Stripe: 2, Replicas: 2})
+	_, addr := startProxy(t, v)
+	c := dialRaw(t, addr)
+	for id := uint64(0); id < 3; id++ {
+		c.send(server.Frame{Op: server.OpWrite, ID: id, LPN: 1, Payload: make([]byte, v.PageSize())})
+		if r := c.recv(); r.ID != id || r.Status != server.StatusOK {
+			t.Fatalf("write %d: response %d %v", id, r.ID, r.Status)
+		}
+	}
+}

@@ -188,6 +188,32 @@ func TestProxyScatterWorstStatus(t *testing.T) {
 	}
 }
 
+// TestProxyUnencodableResponse: a response whose payload exceeds MaxPayload —
+// the merged STAT of a large enough cluster — cannot go on the wire. Its ID is
+// answered INTERNAL with the size error, as a backend does, and the
+// connection serves on; it used to drop that response and every later one.
+func TestProxyUnencodableResponse(t *testing.T) {
+	v, _ := startCluster(t, 2, server.Config{}, Config{Stripe: 2})
+	p, addr := startProxy(t, v)
+	c := dialRaw(t, addr)
+	c.send(server.Frame{Op: server.OpPing, ID: 1})
+	if r := c.recv(); r.ID != 1 || r.Status != server.StatusOK {
+		t.Fatalf("ping: response %d %v", r.ID, r.Status)
+	}
+	// The reader is idle, so this stands in for a frame it accepted.
+	pc := proxyConnOf(t, p)
+	p.accepted.Add(1)
+	pc.slots <- struct{}{}
+	pc.respond(server.Response{Status: server.StatusOK, ID: 2, Payload: make([]byte, server.MaxPayload+1)})
+	if r := c.recv(); r.ID != 2 || r.Status != server.StatusInternal || !strings.Contains(string(r.Payload), "out of bounds") {
+		t.Fatalf("oversized response answered %d %v %q, want 2 INTERNAL and the size error", r.ID, r.Status, r.Payload)
+	}
+	c.send(server.Frame{Op: server.OpPing, ID: 3})
+	if r := c.recv(); r.ID != 3 || r.Status != server.StatusOK {
+		t.Fatalf("ping after it: response %d %v", r.ID, r.Status)
+	}
+}
+
 // TestProxyStatWithDeadBackend: STAT through the proxy keeps answering when
 // a backend is down — the merged snapshot simply carries the dead shard's
 // error and sums only the live ones.

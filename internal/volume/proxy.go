@@ -27,7 +27,7 @@ type Proxy struct {
 
 	mu       sync.Mutex
 	ln       net.Listener
-	conns    map[net.Conn]struct{}
+	conns    map[net.Conn]*proxyConn
 	draining bool
 	connWG   sync.WaitGroup
 
@@ -51,7 +51,7 @@ func NewProxy(v *Volume, cfg ProxyConfig) *Proxy {
 	if cfg.MaxPerConn <= 0 {
 		cfg.MaxPerConn = 64
 	}
-	return &Proxy{v: v, cfg: cfg, conns: make(map[net.Conn]struct{})}
+	return &Proxy{v: v, cfg: cfg, conns: make(map[net.Conn]*proxyConn)}
 }
 
 // Volume returns the proxied volume.
@@ -101,13 +101,13 @@ func (p *Proxy) startConn(nc net.Conn) {
 		nc.Close()
 		return
 	}
-	p.conns[nc] = struct{}{}
+	n := p.cfg.MaxPerConn
+	c := &proxyConn{p: p, nc: nc, slots: make(chan struct{}, n), out: make(chan proxyResp, n), bufs: make(chan []byte, n)}
+	p.conns[nc] = c
 	p.connWG.Add(1)
 	p.mu.Unlock()
 	p.connsNow.Add(1)
 	p.connsEver.Add(1)
-	n := p.cfg.MaxPerConn
-	c := &proxyConn{p: p, nc: nc, slots: make(chan struct{}, n), out: make(chan server.Response, n)}
 	go c.run()
 }
 
@@ -170,7 +170,18 @@ type proxyConn struct {
 	// One token per frame accepted whose response the writer has not taken
 	// yet; out has a place for each, so queueing a response never blocks.
 	slots chan struct{}
-	out   chan server.Response
+	out   chan proxyResp
+
+	// Page buffers between reads: the reader lends one to each plain READ, the
+	// backend connection's reader fills it, the writer puts it back once it is
+	// encoded — or, for a READ that found none, the slice allocated for it.
+	bufs chan []byte
+}
+
+// proxyResp is a queued response; page marks a payload that goes to bufs.
+type proxyResp struct {
+	server.Response
+	page bool
 }
 
 func (c *proxyConn) run() {
@@ -196,15 +207,20 @@ func (c *proxyConn) reader() {
 	p := c.p
 	v := p.v
 	br := bufio.NewReaderSize(c.nc, 64<<10)
+	var f server.Frame
+	var held int
+	var err error
 	for {
+		// f.Payload lay in br's buffer while f was served — every leg has its
+		// copy by now. Let go of it first: held bytes count as buffered input.
+		br.Discard(held)
 		// The server's rule: push before anything that can block; while input
 		// is buffered the legs queued per backend share one write. The waits
 		// inside the volume push for themselves.
 		if br.Buffered() < server.MinFrameLen {
 			v.pushQueued()
 		}
-		f, _, err := server.ReadFrame(br)
-		if err != nil {
+		if f, held, err = server.PeekFrame(br); err != nil {
 			return
 		}
 		p.accepted.Add(1)
@@ -275,8 +291,21 @@ func (c *proxyConn) startOp(f server.Frame) error {
 	if f.Op != server.OpWrite {
 		f.Hint = ftl.HintNone
 	}
+	if c.lends(f.Op) {
+		select {
+		case ca.hook.Buf = <-c.bufs:
+		default:
+		}
+	}
 	_, err := c.p.v.start(ca, f.Payload, f.Hint, f.Arrival)
 	return err
+}
+
+// lends reports whether op's answer lands in a page buffer of c. Only a READ
+// with a single leg may borrow: every replica's leg of a verified read shares
+// the op's hook, and two backend readers would fill one buffer.
+func (c *proxyConn) lends(op server.Op) bool {
+	return op == server.OpRead && !c.p.v.cfg.VerifyReads
 }
 
 // complete gathers an op whose legs have all resolved and queues its response.
@@ -286,35 +315,42 @@ func (c *proxyConn) complete(ca *Call) {
 		r = server.Response{Status: server.StatusInternal, Payload: []byte(err.Error())}
 	}
 	r.ID = ca.id
-	c.respond(r)
+	c.p.responses.Add(1)
+	c.out <- proxyResp{r, c.lends(ca.op)}
 }
 
 func (c *proxyConn) respond(r server.Response) {
 	c.p.responses.Add(1)
-	c.out <- r
+	c.out <- proxyResp{Response: r}
 }
 
-// writer encodes everything queued and flushes when the queue runs empty.
+// writer encodes everything queued and flushes when the queue runs empty. Only
+// a socket error is sticky, and even then it keeps taking, so a dead socket
+// never backs completions up.
 func (c *proxyConn) writer() {
 	bw := bufio.NewWriterSize(c.nc, 64<<10)
-	var buf []byte
 	var err error
 	for r := range c.out {
 		<-c.slots
-		if err != nil {
-			continue // keep taking, so a dead socket never backs completions up
+		if err == nil {
+			// The header is encoded in bw's own free space; only the payload moves.
+			head, herr := server.AppendResponseHead(bw.AvailableBuffer(), r.Response)
+			if herr != nil {
+				// Unencodable: the ID still gets an answer, as from a backend.
+				r.Response = server.Response{Status: server.StatusInternal, ID: r.ID, Payload: []byte(herr.Error())}
+				head, _ = server.AppendResponseHead(bw.AvailableBuffer(), r.Response)
+			}
+			if _, err = bw.Write(head); err == nil {
+				_, err = bw.Write(r.Payload)
+			}
+			if err == nil && len(c.out) == 0 {
+				err = bw.Flush()
+			}
 		}
-		buf, err = server.AppendResponse(buf[:0], r)
-		if err != nil {
-			continue
-		}
-		if _, werr := bw.Write(buf); werr != nil {
-			err = werr
-			continue
-		}
-		if len(c.out) == 0 {
-			if ferr := bw.Flush(); ferr != nil {
-				err = ferr
+		if r.page && cap(r.Payload) > 0 {
+			select {
+			case c.bufs <- r.Payload[:0]:
+			default:
 			}
 		}
 	}

@@ -319,7 +319,7 @@ func (v *Volume) startLocked(ca *Call, payload []byte, hint ftl.Hint, arrival fl
 	ca.v, ca.led, ca.legs = v, v.led, ca.legBuf[:0]
 	var hook *client.Hook
 	if ca.sink != nil {
-		ca.hook, hook = client.Hook{Fn: legDone, Owner: ca}, &ca.hook
+		ca.hook.Fn, ca.hook.Owner, hook = legDone, ca, &ca.hook
 	}
 	if ca.led != nil && ca.tr.ID != 0 {
 		ca.t0 = time.Since(v.epoch)

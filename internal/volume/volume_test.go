@@ -28,7 +28,14 @@ type testBackend struct {
 // startBackend spins one block service over a small test device.
 func startBackend(t testing.TB, cfg server.Config) *testBackend {
 	t.Helper()
+	return startBackendPages(t, cfg, flash.TestGeometry().PageSize)
+}
+
+// startBackendPages is startBackend with pages of another size.
+func startBackendPages(t testing.TB, cfg server.Config, pageSize int) *testBackend {
+	t.Helper()
 	g := flash.TestGeometry()
+	g.PageSize = pageSize
 	g.BlocksPerPlane = 12
 	g.Layers = 12
 	p := pv.DefaultParams()
