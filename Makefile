@@ -5,13 +5,14 @@
 # are only trustworthy race-clean. The second -race leg re-runs the
 # parallel-core tests (the conservative-horizon device and the parallel
 # experiment identity check) with -count=1, so they execute fresh even when
-# the full-suite run above was served from the test cache; the third does the
-# same, three times over, for the tests that pin who may write a payload buffer
-# on the proxy's path (lent page buffers, queued legs, completion hooks), where
-# a wrong answer is a race that needs the right interleaving to show. bench/ is
-# a module of its own that `./...` does not reach; vetting and testing it here
-# (3 s) is what notices when an API of client or volume that the benchmark
-# harness compiles against has moved.
+# the full-suite run above was served from the test cache; the third does so
+# for the latency kernel, whose per-block tables the first goroutine to touch
+# a block builds for all; the fourth, three times over, for the tests that pin
+# who may write a payload buffer on the proxy's path (lent page buffers,
+# queued legs, completion hooks), where a wrong answer is a race that needs the
+# right interleaving to show. bench/ is a module of its own that `./...` does
+# not reach; vetting and testing it here (3 s) is what notices when an API of
+# client or volume that the benchmark harness compiles against has moved.
 
 GO ?= go
 
@@ -30,6 +31,7 @@ check:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -run 'TestConcurrent|TestSimThroughputParallelIdentical' \
 		./internal/ssd ./internal/experiments
+	$(GO) test -race -count=1 ./internal/pv
 	$(GO) test -race -count=3 -run 'Proxy|Queue|Hook|Lent' ./internal/volume ./internal/server/client
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 	$(MAKE) smoke
@@ -247,11 +249,11 @@ endif
 # path alloc, which scales with op count. A benchmark that was allocation-
 # free must stay allocation-free: zero has no slack at any tolerance.
 # BenchmarkServerLoopback warms its connection before the timer starts, so
-# its recorded allocs/op is the wire path's per-request count (2 since
-# BENCH_12.json) and one more object per request fails this gate;
+# its recorded allocs/op is the wire path's per-request count (1 since
+# BENCH_40.json) and one more object per request fails this gate;
 # BenchmarkProxyLoopback (since BENCH_15.json) does the same for the proxy with
-# one 2048-op burst per iteration: 14,064 objects, so the 1% slack is a
-# fifteenth of an object per op. B/op gates under BENCH_BYTES_TOL with
+# one 2048-op burst per iteration: 10,966 objects in BENCH_40.json, so the 1%
+# slack is a nineteenth of an object per op. B/op gates under BENCH_BYTES_TOL with
 # timing-style slack, since pooled-buffer accounting can shift bytes between
 # runs. Defaults to the two newest BENCH_*.json checked into the repo root;
 # override with BENCH_OLD/BENCH_NEW.

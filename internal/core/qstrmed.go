@@ -112,7 +112,7 @@ type Scheme struct {
 	geo   flash.Geometry
 	k     int
 	lanes []laneState
-	open  map[flash.BlockAddr]*gather
+	open  []*gather // dense block index (lane·BlocksPerPlane + block) → table
 
 	pairChecks int
 	assembled  int
@@ -138,7 +138,7 @@ func NewScheme(geo flash.Geometry, k int) (*Scheme, error) {
 		geo:   geo,
 		k:     k,
 		lanes: make([]laneState, geo.Lanes()),
-		open:  make(map[flash.BlockAddr]*gather),
+		open:  make([]*gather, geo.TotalBlocks()),
 	}
 	for i := range s.lanes {
 		s.lanes[i].info = make(map[int]*blockInfo)
@@ -154,6 +154,11 @@ func (s *Scheme) PairChecks() int { return s.pairChecks }
 
 // Assembled returns the number of superblocks assembled so far.
 func (s *Scheme) Assembled() int { return s.assembled }
+
+func (s *Scheme) inRange(addr flash.BlockAddr) bool {
+	l := addr.Lane(s.geo)
+	return l >= 0 && l < len(s.lanes) && addr.Block >= 0 && addr.Block < s.geo.BlocksPerPlane
+}
 
 func (s *Scheme) lane(addr flash.BlockAddr) *laneState {
 	return &s.lanes[addr.Lane(s.geo)]
@@ -185,8 +190,7 @@ var ErrRetired = errors.New("core: block is retired")
 // Retire permanently removes a block from circulation (bad block). If the
 // block is currently free it leaves the pool; it can never be freed again.
 func (s *Scheme) Retire(addr flash.BlockAddr) error {
-	if addr.Lane(s.geo) < 0 || addr.Lane(s.geo) >= len(s.lanes) ||
-		addr.Block < 0 || addr.Block >= s.geo.BlocksPerPlane {
+	if !s.inRange(addr) {
 		return fmt.Errorf("core: %v out of range", addr)
 	}
 	s.info(addr).retired = true
@@ -201,8 +205,7 @@ func (s *Scheme) Retired(addr flash.BlockAddr) bool { return s.info(addr).retire
 // gathered program latency. Blocks never characterized sort after all
 // characterized blocks.
 func (s *Scheme) AddFree(addr flash.BlockAddr) error {
-	if addr.Lane(s.geo) < 0 || addr.Lane(s.geo) >= len(s.lanes) ||
-		addr.Block < 0 || addr.Block >= s.geo.BlocksPerPlane {
+	if !s.inRange(addr) {
 		return fmt.Errorf("core: %v out of range", addr)
 	}
 	if s.info(addr).retired {
@@ -252,7 +255,11 @@ func (s *Scheme) NoteProgram(addr flash.BlockAddr, lwl int, latency float64) err
 	if lwl < 0 || lwl >= nWL {
 		return fmt.Errorf("core: word-line %d out of range", lwl)
 	}
-	g := s.open[addr]
+	if !s.inRange(addr) {
+		return fmt.Errorf("core: %v out of range", addr)
+	}
+	slot := &s.open[addr.Lane(s.geo)*s.geo.BlocksPerPlane+addr.Block]
+	g := *slot
 	if g == nil {
 		if lwl != 0 {
 			// Mid-block visibility (e.g. the scheme was attached late):
@@ -260,11 +267,11 @@ func (s *Scheme) NoteProgram(addr flash.BlockAddr, lwl int, latency float64) err
 			return nil
 		}
 		g = s.newGather(nWL)
-		s.open[addr] = g
+		*slot = g
 	}
 	if lwl != g.nextLWL {
 		// Out-of-order observation: abandon this gathering pass.
-		delete(s.open, addr)
+		*slot = nil
 		s.gatherPool = append(s.gatherPool, g)
 		return nil
 	}
@@ -286,7 +293,7 @@ func (s *Scheme) NoteProgram(addr flash.BlockAddr, lwl int, latency float64) err
 		// metadata outlives the gathering pass, and the pass's table goes
 		// back to the pool for the next open block.
 		bi.eigen.CopyFrom(g.eigen)
-		delete(s.open, addr)
+		*slot = nil
 		s.gatherPool = append(s.gatherPool, g)
 	}
 	return nil

@@ -273,11 +273,16 @@ func TestGatheringOutOfOrderAbandons(t *testing.T) {
 	if err := s.NoteProgram(addr, 2, 1600); err != nil { // skips 1
 		t.Fatal(err)
 	}
-	if len(s.open) != 0 {
-		t.Fatal("out-of-order pass should be abandoned")
+	for _, g := range s.open {
+		if g != nil {
+			t.Fatal("out-of-order pass should be abandoned")
+		}
 	}
 	if err := s.NoteProgram(addr, -1, 0); err == nil {
 		t.Fatal("negative word-line should fail")
+	}
+	if err := s.NoteProgram(flash.BlockAddr{Block: g.BlocksPerPlane}, 0, 1600); err == nil {
+		t.Fatal("out-of-range block should fail")
 	}
 }
 

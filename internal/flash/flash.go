@@ -112,6 +112,11 @@ type block struct {
 	data       [][]byte  // page index → payload; nil until first program
 	programmed bitset    // page index → written; allocated with data
 	lwlLatency []float64 // observed program latency per LWL (last program pass)
+	// sampleErrBits' mean and σ, valid while the block's P/E count and
+	// retention are still errPE and errRet.
+	errOK                  bool
+	errPE                  int
+	errRet, errMean, errSD float64
 }
 
 // Array is a simulated NAND flash array. It is not safe for concurrent use;
@@ -475,12 +480,15 @@ func (a *Array) Read(addr PageAddr) (ReadResult, error) {
 // sampleErrBits draws a raw error-bit count for one page read: a normal
 // approximation of Binomial(pageBits, RBER), deterministic per nonce.
 func (a *Array) sampleErrBits(c pv.Coord, b *block, nonce uint64) int {
-	rber := a.kern.RBER(c, b.peCycles, b.retention)
-	bits := float64((a.geo.PageSize + a.geo.SpareSize) * 8)
-	mean := rber * bits
-	sd := math.Sqrt(mean * (1 - rber))
+	if !b.errOK || b.errPE != b.peCycles || b.errRet != b.retention {
+		rber := a.kern.RBER(c, b.peCycles, b.retention)
+		bits := float64((a.geo.PageSize + a.geo.SpareSize) * 8)
+		b.errMean = rber * bits
+		b.errSD = math.Sqrt(b.errMean * (1 - rber))
+		b.errOK, b.errPE, b.errRet = true, b.peCycles, b.retention
+	}
 	h := prng.Hash(a.seed, 101, c.Chip, c.Plane, c.Block, c.Layer, c.String)
-	v := mean + sd*prng.NormalFromHash(prng.SplitMix64(h^nonce))
+	v := b.errMean + b.errSD*prng.NormalFromHash(prng.SplitMix64(h^nonce))
 	if v < 0 {
 		return 0
 	}

@@ -3,9 +3,11 @@ package flash
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
+	"superfast/internal/prng"
 	"superfast/internal/pv"
 )
 
@@ -593,4 +595,59 @@ func TestProgramOOBValidation(t *testing.T) {
 	if _, err := a.ReadOOB(PageAddr{BlockAddr: BlockAddr{Chip: 99}}); !errors.Is(err, ErrBadAddress) {
 		t.Fatal("bad address should fail")
 	}
+}
+
+// TestErrBitsCacheFollowsWearAndRetention: a block keeps the moments of its
+// error-bit distribution between reads. An erase (P/E+1) and a retention
+// bake both change them, so the draws after each must still equal the
+// uncached computation — a stale cached mean or σ would shift them.
+func TestErrBitsCacheFollowsWearAndRetention(t *testing.T) {
+	g := TestGeometry()
+	p := pv.DefaultParams()
+	p.Layers = g.Layers
+	p.Strings = g.Strings
+	p.RBERBase = 4e-3 // ~2,000 error bits a page at P/E 3000: one more cycle shifts the mean ~2 bits
+	a := MustNewArray(g, pv.New(p), ECCConfig{CorrectableBits: 1 << 20, RetryBits: 1 << 20})
+	addr := BlockAddr{Chip: 1, Plane: 1, Block: 2}
+	// Reading the page and recomputing its draw from the model directly.
+	check := func(when string) {
+		t.Helper()
+		b := &a.blocks[addr.Lane(g)*g.BlocksPerPlane+addr.Block]
+		for lwl := 0; lwl < 2; lwl++ {
+			for ty := pv.PageType(0); ty < pv.NumPageTypes; ty++ {
+				r, err := a.Read(PageAddr{BlockAddr: addr, LWL: lwl, Type: ty})
+				if err != nil {
+					t.Fatal(err)
+				}
+				layer, str := g.LayerString(lwl)
+				c := pv.Coord{Chip: addr.Chip, Plane: addr.Plane, Block: addr.Block, Layer: layer, String: str}
+				rber := a.model.RBER(c, b.peCycles, b.retention)
+				mean := rber * float64((g.PageSize+g.SpareSize)*8)
+				h := prng.Hash(a.seed, 101, c.Chip, c.Plane, c.Block, c.Layer, c.String)
+				want := int(max(0, mean+math.Sqrt(mean*(1-rber))*prng.NormalFromHash(prng.SplitMix64(h^a.opNonce))))
+				if r.ErrBits != want {
+					t.Fatalf("%s: lwl %d %v drew %d error bits, uncached %d", when, lwl, ty, r.ErrBits, want)
+				}
+			}
+		}
+	}
+	program := func() {
+		for lwl := 0; lwl < 2; lwl++ {
+			if _, err := a.Program(addr, lwl, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := a.SetPECycles(addr, 3000); err != nil {
+		t.Fatal(err)
+	}
+	program()
+	check("fresh")
+	if _, err := a.Erase(addr); err != nil {
+		t.Fatal(err)
+	}
+	program()
+	check("after an erase")
+	a.AddRetention(4)
+	check("after a retention bake")
 }

@@ -149,7 +149,7 @@ func Restore(arr *flash.Array, cfg Config, checkpoint []byte) (*FTL, error) {
 	}
 	// New() freed every block; pull back the ones that live in superblocks.
 	f.sbs = make(map[int]*superblock)
-	f.bySB = make(map[flash.BlockAddr]*superblock)
+	clear(f.bySB)
 	inSB := map[flash.BlockAddr]bool{}
 	for _, s := range st.Superblocks {
 		sb := &superblock{
@@ -158,7 +158,7 @@ func Restore(arr *flash.Array, cfg Config, checkpoint []byte) (*FTL, error) {
 		}
 		f.sbs[sb.id] = sb
 		for _, m := range sb.members {
-			f.bySB[m] = sb
+			f.bySB[f.blockIdx(m)] = sb
 			inSB[m] = true
 		}
 	}

@@ -29,7 +29,7 @@ func TestMarkBadBlocksDeterministicSealedOnly(t *testing.T) {
 	// Only sealed superblock members may be hit — a bad free or open block
 	// would fail host programs, which is a different fault.
 	for _, b := range m1 {
-		sb := f1.bySB[b]
+		sb := f1.sbOf(b)
 		if sb == nil || !sb.sealed {
 			t.Fatalf("block %v is not a sealed superblock member", b)
 		}

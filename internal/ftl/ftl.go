@@ -249,7 +249,7 @@ type FTL struct {
 	l2p    []int64 // LPN → PPN, -1 unmapped
 	p2l    []int64 // PPN → LPN, -1 invalid
 	sbs    map[int]*superblock
-	bySB   map[flash.BlockAddr]*superblock
+	bySB   []*superblock // dense block index (see blockIdx) → owning superblock
 	open   map[core.Speed]*openState
 	logLen int64
 
@@ -507,7 +507,7 @@ func New(arr *flash.Array, cfg Config) (*FTL, error) {
 		l2p:    make([]int64, logLen),
 		p2l:    make([]int64, totalPages),
 		sbs:    make(map[int]*superblock),
-		bySB:   make(map[flash.BlockAddr]*superblock),
+		bySB:   make([]*superblock, geo.TotalBlocks()),
 		open:   make(map[core.Speed]*openState),
 		logLen: logLen,
 		rng:    prng.New(cfg.Seed, 0xf71),
@@ -654,10 +654,17 @@ func (f *FTL) OpenFill(speed core.Speed) int {
 	return 0
 }
 
+// blockIdx is a block's dense index, ppn / PagesPerBlock of any of its pages.
+func (f *FTL) blockIdx(addr flash.BlockAddr) int {
+	return addr.Lane(f.geo)*f.geo.BlocksPerPlane + addr.Block
+}
+
+// sbOf returns the superblock a block belongs to, nil when it is in none.
+func (f *FTL) sbOf(addr flash.BlockAddr) *superblock { return f.bySB[f.blockIdx(addr)] }
+
 // ppn computes the flat physical page number of a block page.
 func (f *FTL) ppn(addr flash.BlockAddr, lwl int, typ pv.PageType) int64 {
-	blockIdx := addr.Lane(f.geo)*f.geo.BlocksPerPlane + addr.Block
-	return int64(blockIdx*f.geo.PagesPerBlock() + lwl*flash.PagesPerLWL + int(typ))
+	return int64(f.blockIdx(addr)*f.geo.PagesPerBlock() + lwl*flash.PagesPerLWL + int(typ))
 }
 
 // ppnLocate inverts ppn.
@@ -711,7 +718,7 @@ func (f *FTL) assembleSuperblock(speed core.Speed) (*superblock, error) {
 	f.nextSBID++
 	f.sbs[sb.id] = sb
 	for _, m := range members {
-		f.bySB[m] = sb
+		f.bySB[f.blockIdx(m)] = sb
 	}
 	return sb, nil
 }
@@ -1033,8 +1040,7 @@ func (f *FTL) unmap(lpn int64) {
 	}
 	f.l2p[lpn] = -1
 	f.p2l[ppn] = -1
-	addr, _, _ := f.ppnLocate(ppn)
-	if sb := f.bySB[addr]; sb != nil {
+	if sb := f.bySB[ppn/int64(f.geo.PagesPerBlock())]; sb != nil {
 		sb.valid--
 	}
 }
@@ -1113,7 +1119,7 @@ func (f *FTL) readPage(addr flash.BlockAddr, lwl int, typ pv.PageType) ([]byte, 
 	if !errors.Is(err, flash.ErrUncorrectable) || !f.cfg.RAID {
 		return nil, r.Latency, err
 	}
-	sb := f.bySB[addr]
+	sb := f.sbOf(addr)
 	if sb == nil {
 		return nil, r.Latency, err
 	}
@@ -1174,7 +1180,7 @@ func (f *FTL) ReadRange(lpn int64, n int) ([][]byte, float64, error) {
 			out[i] = data
 			continue
 		}
-		sb := f.bySB[addr]
+		sb := f.sbOf(addr)
 		if sb == nil {
 			return nil, latency, fmt.Errorf("ftl: page %d outside any superblock", ppn)
 		}
@@ -1245,7 +1251,7 @@ func (f *FTL) ReadRange(lpn int64, n int) ([][]byte, float64, error) {
 // bufferedPage serves a page from an open superblock's write buffer.
 func (f *FTL) bufferedPage(addr flash.BlockAddr, lwl int, typ pv.PageType, lpn int64) ([]byte, bool) {
 	for _, st := range f.open {
-		if st.sb != f.bySB[addr] || lwl != st.nextWL {
+		if st.sb != f.sbOf(addr) || lwl != st.nextWL {
 			continue
 		}
 		for lane, m := range st.sb.members {
@@ -1644,7 +1650,7 @@ func (f *FTL) gcAdvance(st *gcState, budget int) (moves int, latency float64, er
 		f.noteOp(m.Chip, res.PerMember[i], 'e')
 	}
 	for i, m := range victim.members {
-		delete(f.bySB, m)
+		f.bySB[f.blockIdx(m)] = nil
 		failed := false
 		for _, fi := range res.Failed {
 			if fi == i {
@@ -1781,7 +1787,7 @@ func (f *FTL) CheckInvariants() error {
 			return fmt.Errorf("ftl: l2p[%d]=%d but p2l[%d]=%d", lpn, ppn, ppn, f.p2l[ppn])
 		}
 		addr, _, _ := f.ppnLocate(ppn)
-		sb := f.bySB[addr]
+		sb := f.sbOf(addr)
 		if sb == nil {
 			return fmt.Errorf("ftl: mapped page %d in block %v outside any superblock", ppn, addr)
 		}

@@ -188,7 +188,7 @@ scan:
 		t.Fatal("failed collection left no resumable GC debt")
 	}
 	for _, m := range victim.members {
-		if f.bySB[m] != victim {
+		if f.sbOf(m) != victim {
 			t.Fatalf("member %v lost its superblock binding mid-collection", m)
 		}
 	}
@@ -213,7 +213,7 @@ scan:
 		t.Fatal("resumed collection never erased the victim")
 	}
 	for _, m := range victim.members {
-		if f.bySB[m] == victim {
+		if f.sbOf(m) == victim {
 			t.Fatalf("member %v still bound to the reclaimed victim", m)
 		}
 	}

@@ -132,7 +132,7 @@ func TestRAIDDoubleFaultIsDataLoss(t *testing.T) {
 	corruptPageOf(t, f, 42)
 	ppn := f.l2p[42]
 	addr, lwl, typ := f.ppnLocate(ppn)
-	sb := f.bySB[addr]
+	sb := f.sbOf(addr)
 	for _, m := range sb.members {
 		if m == addr {
 			continue

@@ -167,7 +167,7 @@ func RecoverByScan(arr *flash.Array, cfg Config) (*FTL, error) {
 			if !arr.IsFull(m) {
 				sb.sealed = false
 			}
-			f.bySB[m] = sb
+			f.bySB[f.blockIdx(m)] = sb
 		}
 		sb.sealedAt = 0 // ages reset; cost-benefit restarts fairly
 		f.sbs[id] = sb
@@ -185,8 +185,7 @@ func RecoverByScan(arr *flash.Array, cfg Config) (*FTL, error) {
 	for lpn, w := range best {
 		f.l2p[lpn] = w.ppn
 		f.p2l[w.ppn] = lpn
-		addr, _, _ := f.ppnLocate(w.ppn)
-		if sb := f.bySB[addr]; sb != nil {
+		if sb := f.bySB[w.ppn/int64(f.geo.PagesPerBlock())]; sb != nil {
 			sb.valid++
 		}
 	}

@@ -25,6 +25,7 @@ package pv
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"superfast/internal/prng"
@@ -59,7 +60,11 @@ type kernelShard struct {
 // left-to-right partial sum of ProgramLatency's seven static terms for LWL
 // i = layer*strings + string; the jitter hash bases are the per-coordinate
 // hashes that the direct methods XOR with the caller's nonce.
+// readStatic, the static read term per (LWL, page type), is built on the
+// block's first read: blocks that are never read do not pay for it.
 type blockTables struct {
+	readOnce    sync.Once // a CAS would box the slice header: a second object
+	readStatic  []float64 // len lwls·NumPageTypes, set under readOnce
 	pgmStatic   []float64 // len lwls: static program sum per logical word-line
 	pgmJitterH  []uint64  // len lwls: program jitter hash base per LWL
 	ersStatic   float64   // static erase sum (base + chip + corr + local + spike)
@@ -142,14 +147,15 @@ func (k *Kernel) build(chip, plane, block int) *blockTables {
 
 	// String offsets are block-constant per string: compute the class raws
 	// once, accumulating the mean in ascending string order exactly like
-	// stringOffset does on every direct call.
+	// stringOffset does on every direct call (on the stack up to 8 strings).
 	class := m.StringClass(chip, plane, block)
-	raws := make([]float64, k.strings)
+	var rawBuf [8]float64
+	raws := rawBuf[:0]
 	sum := 0.0
 	for s := 0; s < k.strings; s++ {
 		base := p.StringClassSigma * prng.NormalFromHash(prng.Hash(p.Seed, domStringClassPattern, class, s))
 		idio := p.StringIdioSigma * prng.NormalFromHash(prng.Hash(p.Seed, domStringLocal, chip, plane, block, s))
-		raws[s] = base + idio
+		raws = append(raws, base+idio)
 		sum += raws[s]
 	}
 	mean := sum / float64(p.Strings)
@@ -273,11 +279,11 @@ func (k *Kernel) EraseLatency(chip, plane, block, pe int, nonce uint64) float64 
 	return v
 }
 
-// ReadLatency is Model.ReadLatency with the jitter hash base served from the
-// cache. The per-page sense offset stays a direct draw: caching it would cost
-// NumPageTypes×LWLs floats per block for a path that is already two hashes.
+// ReadLatency is Model.ReadLatency served from the cache: the static sense
+// term is a table load, and only the jitter and the floor run per call.
 func (k *Kernel) ReadLatency(c Coord, t PageType, nonce uint64) float64 {
-	if !k.inRange(c.Chip, c.Plane, c.Block) {
+	if !k.inRange(c.Chip, c.Plane, c.Block) ||
+		c.Layer < 0 || c.Layer >= k.layers || c.String < 0 || c.String >= k.strings {
 		return k.m.ReadLatency(c, t, nonce)
 	}
 	if t < 0 || t >= NumPageTypes {
@@ -285,8 +291,7 @@ func (k *Kernel) ReadLatency(c Coord, t PageType, nonce uint64) float64 {
 	}
 	bt := k.tables(c.Chip, c.Plane, c.Block)
 	p := &k.m.p
-	v := p.ReadBase[t] +
-		p.ReadSigma*prng.NormalFromHash(prng.Hash(p.Seed, domRead, c.Chip, c.Plane, c.Block, c.Layer, c.String, int(t)))
+	v := k.readTable(bt, c.Chip, c.Plane, c.Block)[(c.Layer*k.strings+c.String)*int(NumPageTypes)+int(t)]
 	if p.ReadJitter > 0 {
 		v += p.ReadJitter * prng.NormalFromHash(prng.SplitMix64(bt.readJitterH^nonce))
 	}
@@ -294,6 +299,24 @@ func (k *Kernel) ReadLatency(c Coord, t PageType, nonce uint64) float64 {
 		v = min
 	}
 	return v
+}
+
+// readTable returns the block's static read terms, built on first use with
+// Model.ReadLatency's own expression.
+func (k *Kernel) readTable(bt *blockTables, chip, plane, block int) []float64 {
+	bt.readOnce.Do(func() {
+		p := &k.m.p
+		t := make([]float64, 0, k.lwls*int(NumPageTypes))
+		for layer := 0; layer < k.layers; layer++ {
+			for s := 0; s < k.strings; s++ {
+				for ty := 0; ty < int(NumPageTypes); ty++ {
+					t = append(t, p.ReadBase[ty]+p.ReadSigma*prng.NormalFromHash(prng.Hash(p.Seed, domRead, chip, plane, block, layer, s, ty)))
+				}
+			}
+		}
+		bt.readStatic = t
+	})
+	return bt.readStatic
 }
 
 // Endurance is Model.Endurance served from the cache (it is fully static).

@@ -1,6 +1,7 @@
 package pv
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -168,5 +169,57 @@ func TestKernelConcurrentFill(t *testing.T) {
 	case msg := <-errs:
 		t.Fatal(msg)
 	default:
+	}
+}
+
+// TestKernelReadTable: a block's read table is built by whichever reader
+// touches it first, so two readers that arrive together race to publish it.
+// Both must see the direct model's ReadLatency bit for bit at every layer,
+// string and page type, and a layer or string outside the kernel's geometry
+// must fall back to the model instead of indexing the table.
+func TestKernelReadTable(t *testing.T) {
+	p := DefaultParams()
+	p.Layers = 6
+	p.Strings = 4
+	m := New(p)
+	k := m.Kernel(2, 2, 4)
+	const chip, plane, block = 1, 0, 3
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan string, 2)
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for layer := 0; layer < p.Layers; layer++ {
+				for s := 0; s < p.Strings; s++ {
+					for ty := PageType(0); ty < NumPageTypes; ty++ {
+						c := Coord{Chip: chip, Plane: plane, Block: block, Layer: layer, String: s}
+						nonce := uint64(w*1000 + layer*10 + s)
+						if got, want := k.ReadLatency(c, ty, nonce), m.ReadLatency(c, ty, nonce); math.Float64bits(got) != math.Float64bits(want) {
+							errs <- fmt.Sprintf("ReadLatency(%+v, %v): kernel %v, direct %v", c, ty, got, want)
+							return
+						}
+					}
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
+	}
+	for _, c := range []Coord{
+		{Chip: chip, Plane: plane, Block: block, Layer: p.Layers, String: 0},
+		{Chip: chip, Plane: plane, Block: block, Layer: -1, String: 0},
+		{Chip: chip, Plane: plane, Block: block, Layer: 0, String: p.Strings},
+		{Chip: chip, Plane: plane, Block: block, Layer: 0, String: -1},
+	} {
+		if got, want := k.ReadLatency(c, MSB, 5), m.ReadLatency(c, MSB, 5); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("out-of-range ReadLatency(%+v): kernel %v, direct %v", c, got, want)
+		}
 	}
 }

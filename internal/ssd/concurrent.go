@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"superfast/internal/flash"
 	"superfast/internal/ftl"
@@ -93,15 +94,20 @@ type ConcurrentDevice struct {
 	// chips carries the per-chip op/busy counters, advanced alongside till.
 	chips []ChipStats
 
-	statsMu  sync.Mutex
-	records  []latencyRecord // only populated when cfg.RetainLatencies
-	counts   Stats           // scalar counters; Latencies are merged from records
-	horizon  float64         // latest completion observed, µs
-	lat      *telemetry.Digest
-	pend     map[uint64][]float64 // finished tickets not yet fed to the digest
-	latsFree [][]float64          // drained pend slices, recycled by submit
-	drain    uint64               // next ticket the digest will consume
-	qdepth   *telemetry.Gauge     // in-flight submissions; nil when unwired
+	statsMu sync.Mutex
+	records []latencyRecord // only populated when cfg.RetainLatencies
+	counts  Stats           // scalar counters; Latencies are merged from records
+	horizon float64         // latest completion observed, µs
+	lat     *telemetry.Digest
+	pend    []pendSlot                      // digest reorder buffer: pend[i] is ticket drain+i
+	drain   uint64                          // next ticket the digest will consume
+	qdepth  atomic.Pointer[telemetry.Gauge] // in-flight submissions; nil when unwired
+}
+
+// pendSlot is one ticket's latencies in batch-slot order.
+type pendSlot struct {
+	lats []float64
+	done bool
 }
 
 // tenantShape paces one tenant's chip-work admission on the simulated
@@ -155,7 +161,6 @@ func NewConcurrent(arr *flash.Array, cfg Config) (*ConcurrentDevice, error) {
 		f:       f,
 		cfg:     cfg,
 		lat:     telemetry.NewDigest(),
-		pend:    make(map[uint64][]float64),
 		till:    make([]float64, chips),
 		resTill: make([]float64, chips),
 		chips:   make([]ChipStats, chips),
@@ -373,18 +378,19 @@ func (c *ConcurrentDevice) SetMetrics(m *telemetry.Metrics) {
 	c.statsMu.Lock()
 	defer c.statsMu.Unlock()
 	if m == nil {
-		c.qdepth = nil
+		c.qdepth.Store(nil)
 		c.lat = telemetry.NewDigest()
 		return
 	}
-	c.qdepth = m.Gauge("ssd.qdepth")
+	c.qdepth.Store(m.Gauge("ssd.qdepth"))
 	c.lat = m.Digest("ssd.latency")
 }
 
 // LatencyDigest returns the streaming latency summary: moments plus P²
-// p50/p95/p99 estimates in O(1) memory. Observations enter in ticket order
-// (a reorder buffer holds completions that finish early), so the snapshot is
-// identical however many goroutines submitted.
+// p50/p95/p99 estimates in O(1) memory. Observations enter in ticket order (a
+// ticket-indexed reorder buffer under the stats lock, not the FTL-stage one,
+// holds completions that finish early), so the snapshot is identical however
+// many goroutines submitted.
 func (c *ConcurrentDevice) LatencyDigest() telemetry.DigestSnapshot {
 	c.statsMu.Lock()
 	defer c.statsMu.Unlock()
@@ -393,9 +399,9 @@ func (c *ConcurrentDevice) LatencyDigest() telemetry.DigestSnapshot {
 
 // Reserve allocates the next submission ticket. SubmitTicket admits tickets
 // strictly in order, so every reserved ticket must eventually be submitted.
-// Plain Submit/SubmitBatch reserve internally; use Reserve/ReserveBatch only
-// to pin an externally defined order (e.g. trace order) onto concurrent
-// submitters, and do not mix the two styles on one device.
+// Plain Submit/SubmitBatch draw theirs inside the FTL stage; use
+// Reserve/ReserveBatch only to pin an externally defined order (e.g. trace
+// order) onto concurrent submitters.
 func (c *ConcurrentDevice) Reserve() uint64 {
 	c.mu.Lock()
 	t := c.issued
@@ -426,14 +432,21 @@ func (c *ConcurrentDevice) ReserveBatch(n int) uint64 {
 // Submit services one request. Safe for concurrent use; the request enters
 // the FTL in ticket (submission) order.
 func (c *ConcurrentDevice) Submit(req Request) (Completion, error) {
-	return c.SubmitTicket(c.Reserve(), req)
+	return c.submitOne(0, true, req)
 }
 
 // SubmitTicket services one request under a previously reserved ticket,
 // blocking until all earlier tickets have entered the FTL stage.
 func (c *ConcurrentDevice) SubmitTicket(ticket uint64, req Request) (Completion, error) {
-	comps, err := c.submit(ticket, []Request{req})
-	if err != nil {
+	return c.submitOne(ticket, false, req)
+}
+
+// submitOne keeps the request and its completion on this stack, so the
+// single-request path allocates nothing.
+func (c *ConcurrentDevice) submitOne(ticket uint64, reserve bool, req Request) (Completion, error) {
+	reqs := [1]Request{req}
+	var comps [1]Completion
+	if _, err := c.submit(ticket, reserve, reqs[:], comps[:]); err != nil {
 		return Completion{}, err
 	}
 	return comps[0], nil
@@ -445,12 +458,12 @@ func (c *ConcurrentDevice) SubmitTicket(ticket uint64, req Request) (Completion,
 // into multi-plane range reads whose cost is the slowest member, not the
 // sum. Completions are returned in request order.
 func (c *ConcurrentDevice) SubmitBatch(reqs []Request) ([]Completion, error) {
-	return c.submit(c.Reserve(), reqs)
+	return c.submit(0, true, reqs, nil)
 }
 
 // SubmitBatchTicket is SubmitBatch under a previously reserved ticket.
 func (c *ConcurrentDevice) SubmitBatchTicket(ticket uint64, reqs []Request) ([]Completion, error) {
-	return c.submit(ticket, reqs)
+	return c.submit(ticket, false, reqs, nil)
 }
 
 // run is one coalesced unit of a batch: [first, first+n) of the request
@@ -491,14 +504,24 @@ func (s *submitScratch) nextRun() *run {
 	return &s.runs[len(s.runs)-1]
 }
 
-func (c *ConcurrentDevice) submit(ticket uint64, reqs []Request) ([]Completion, error) {
-	if g := c.gauge(); g != nil {
+// submit services reqs under ticket — or, with reserve, under the next
+// ticket, drawn in the FTL stage's critical section — and returns their
+// completions in comps, allocated when nil.
+func (c *ConcurrentDevice) submit(ticket uint64, reserve bool, reqs []Request, comps []Completion) ([]Completion, error) {
+	if comps == nil {
+		comps = make([]Completion, len(reqs))
+	}
+	if g := c.qdepth.Load(); g != nil {
 		g.Add(1)
 		defer g.Add(-1)
 	}
 	sc := scratchPool.Get().(*submitScratch)
 	sc.runs = sc.runs[:0]
 	c.mu.Lock()
+	if reserve {
+		ticket = c.issued
+		c.issued++
+	}
 	for c.next != ticket {
 		c.admit.Wait()
 	}
@@ -517,7 +540,6 @@ func (c *ConcurrentDevice) submit(ticket uint64, reqs []Request) ([]Completion, 
 	// time was fixed by the FTL stage against the per-chip clocks, so there
 	// is nothing to wait for.
 	runs := sc.runs
-	comps := make([]Completion, len(reqs))
 	for ri := range runs {
 		r := &runs[ri]
 		finish := r.end + r.xfer
@@ -542,7 +564,7 @@ func (c *ConcurrentDevice) submit(ticket uint64, reqs []Request) ([]Completion, 
 		// The digest drain must still see this ticket, or every later
 		// completion would sit in the reorder buffer forever.
 		c.statsMu.Lock()
-		c.pend[ticket] = nil
+		c.pendSlot(ticket).done = true
 		c.feedDigest()
 		c.statsMu.Unlock()
 		scratchPool.Put(sc)
@@ -571,11 +593,7 @@ func (c *ConcurrentDevice) submit(ticket uint64, reqs []Request) ([]Completion, 
 	// to the digest in ticket order, so the streaming quantiles are the same
 	// at any submission depth.
 	c.statsMu.Lock()
-	var lats []float64
-	if n := len(c.latsFree); n > 0 {
-		lats = c.latsFree[n-1][:0]
-		c.latsFree = c.latsFree[:n-1]
-	}
+	ps := c.pendSlot(ticket)
 	for ri := range runs {
 		r := &runs[ri]
 		for i := 0; i < r.n; i++ {
@@ -594,44 +612,56 @@ func (c *ConcurrentDevice) submit(ticket uint64, reqs []Request) ([]Completion, 
 					arrival: r.arrivals[i], ticket: ticket, slot: r.first + i, latency: cp.Latency,
 				})
 			}
-			lats = append(lats, cp.Latency)
+			ps.lats = append(ps.lats, cp.Latency)
 			if cp.Finish > c.horizon {
 				c.horizon = cp.Finish
 			}
 		}
 	}
-	c.pend[ticket] = lats
+	ps.done = true
 	c.feedDigest()
 	c.statsMu.Unlock()
 	scratchPool.Put(sc)
 	return comps, nil
 }
 
-// gauge returns the in-flight gauge under the stats lock.
-func (c *ConcurrentDevice) gauge() *telemetry.Gauge {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	return c.qdepth
-}
-
-// feedDigest advances the ticket-order drain over the reorder buffer,
-// recycling the drained latency slices for later submissions. Caller holds
+// pendSlot returns ticket's emptied reorder-buffer slot. A ticket is at most
+// as far past the drain as there are submissions in flight. Caller holds
 // c.statsMu.
-func (c *ConcurrentDevice) feedDigest() {
-	for {
-		lats, ok := c.pend[c.drain]
-		if !ok {
-			return
-		}
-		delete(c.pend, c.drain)
-		c.drain++
-		for _, v := range lats {
-			c.lat.Observe(v)
-		}
-		if cap(lats) > 0 {
-			c.latsFree = append(c.latsFree, lats[:0])
+func (c *ConcurrentDevice) pendSlot(ticket uint64) *pendSlot {
+	i := int(ticket - c.drain)
+	if i >= len(c.pend) {
+		if i < cap(c.pend) {
+			c.pend = c.pend[:i+1]
+		} else {
+			c.pend = append(c.pend[:cap(c.pend)], make([]pendSlot, i+1-cap(c.pend))...)
 		}
 	}
+	ps := &c.pend[i]
+	ps.lats = ps.lats[:0]
+	return ps
+}
+
+// feedDigest advances the ticket-order drain over the reorder buffer's
+// finished prefix, then rotates the drained slots behind the pending ones so
+// their latency slices are reused. Caller holds c.statsMu.
+func (c *ConcurrentDevice) feedDigest() {
+	n := 0
+	for ; n < len(c.pend) && c.pend[n].done; n++ {
+		for _, v := range c.pend[n].lats {
+			c.lat.Observe(v)
+		}
+		c.pend[n].done = false
+	}
+	if n == 0 {
+		return
+	}
+	c.drain += uint64(n)
+	rest := len(c.pend) - n
+	for j := 0; j < rest; j++ {
+		c.pend[j], c.pend[j+n] = c.pend[j+n], c.pend[j]
+	}
+	c.pend = c.pend[:rest]
 }
 
 // maxTill returns the busy-until horizon across all chip clocks — when the

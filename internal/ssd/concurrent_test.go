@@ -1,10 +1,12 @@
 package ssd
 
 import (
+	"bytes"
 	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"superfast/internal/flash"
 	"superfast/internal/pv"
@@ -281,6 +283,84 @@ func TestConcurrentDeviceRace(t *testing.T) {
 	}
 	if err := d.FTL().CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSubmitMixedWithReservedTickets: plain Submit takes its ticket inside
+// the FTL-stage critical section, so it may share a device with callers that
+// Reserve tickets and submit them out of order. Half the goroutines Submit;
+// the other half reserve two tickets and submit the later one first, from a
+// helper goroutine. Every write must be served exactly once, the digest must
+// observe each, and nothing may deadlock.
+func TestSubmitMixedWithReservedTickets(t *testing.T) {
+	d := concurrentDevice(t)
+	const goroutines, perG = 8, 64 // perG even: ticket goroutines submit pairs
+	page := func(lpn int64) []byte { return []byte{byte(lpn), byte(lpn >> 8), 0x5a} }
+	write := func(lpn int64) Request { return Request{Kind: OpWrite, LPN: lpn, Data: page(lpn)} }
+	var served [goroutines * perG]atomic.Int32
+	done := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func(g int) {
+			base := int64(g * perG)
+			note := func(lpn int64, err error) error {
+				served[lpn].Add(1)
+				return err
+			}
+			for i := int64(0); i < perG; i += 2 {
+				a, b := base+i, base+i+1
+				if g%2 == 0 {
+					for _, lpn := range []int64{a, b} {
+						if _, err := d.Submit(write(lpn)); note(lpn, err) != nil {
+							done <- err
+							return
+						}
+					}
+					continue
+				}
+				ta, tb := d.Reserve(), d.Reserve()
+				later := make(chan error, 1)
+				go func() {
+					_, err := d.SubmitTicket(tb, write(b))
+					later <- note(b, err)
+				}()
+				_, err := d.SubmitTicket(ta, write(a))
+				if err = note(a, err); err == nil {
+					err = <-later
+				}
+				if err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}(g)
+	}
+	deadline := time.After(30 * time.Second)
+	for g := 0; g < goroutines; g++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-deadline:
+			t.Fatal("submitters deadlocked")
+		}
+	}
+	const total = goroutines * perG
+	for lpn := range served {
+		if n := served[lpn].Load(); n != 1 {
+			t.Fatalf("write to LPN %d served %d times", lpn, n)
+		}
+		c, err := d.Submit(Request{Kind: OpRead, LPN: int64(lpn)})
+		if err != nil || !bytes.Equal(c.Data, page(int64(lpn))) {
+			t.Fatalf("LPN %d reads %v, %v", lpn, c.Data, err)
+		}
+	}
+	if s := d.Stats(); s.Writes != total {
+		t.Errorf("device counted %d writes, want %d", s.Writes, total)
+	}
+	if n := d.LatencyDigest().N; n != 2*total {
+		t.Errorf("digest observed %d latencies, want %d", n, 2*total)
 	}
 }
 

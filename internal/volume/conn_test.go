@@ -272,3 +272,41 @@ func TestProxyLetsGoOfFrameBeforeBlocking(t *testing.T) {
 		}
 	}
 }
+
+// TestProxyAnswersFault: the proxy does not forward fault injection, and
+// says so the way a backend with faults disabled does. A frame it refuses
+// still takes a slot, so each must be answered — one more of them than a
+// connection has slots would otherwise wedge the connection for good.
+func TestProxyAnswersFault(t *testing.T) {
+	v, _ := startCluster(t, 2, server.Config{}, Config{Stripe: 2})
+	p, addr := startProxy(t, v)
+	c := dialRaw(t, addr)
+	n := p.cfg.MaxPerConn + 1
+	fs := make([]server.Frame, 0, n+1)
+	for i := 0; i < n; i++ {
+		fs = append(fs, server.Frame{Op: server.OpFault, ID: uint64(i), Payload: []byte(`{"kind":"die"}`)})
+	}
+	fs = append(fs, server.Frame{Op: server.OpRead, ID: uint64(n), LPN: 0})
+	c.send(fs...)
+	for i := 0; i < n; i++ {
+		if r := c.recv(); r.ID != uint64(i) || r.Status != server.StatusBadRequest {
+			t.Fatalf("fault frame %d answered %d %v, want %d BAD_REQUEST", i, r.ID, r.Status, i)
+		}
+	}
+	if r := c.recv(); r.ID != uint64(n) {
+		t.Fatalf("read answered as %d, want %d", r.ID, n)
+	}
+	if st := p.Stats(); st.Accepted != uint64(n+1) || st.Responses != st.Accepted {
+		t.Errorf("accepted %d, responses %d, want %d each", st.Accepted, st.Responses, n+1)
+	}
+	waitFor(t, "every slot to come back", func() bool {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		for _, pc := range p.conns {
+			if len(pc.slots) != 0 {
+				return false
+			}
+		}
+		return true
+	})
+}

@@ -235,6 +235,8 @@ func (c *proxyConn) reader() {
 			c.respond(server.Response{Status: server.StatusOK, ID: f.ID, Payload: []byte(server.TraceCap)})
 		case server.OpStat:
 			c.respond(p.statResponse(f.ID))
+		case server.OpFault: // as a backend without EnableFaults answers
+			c.respond(server.Response{Status: server.StatusBadRequest, ID: f.ID, Payload: []byte("fault injection is not supported by the proxy")})
 		case server.OpFlush:
 			// Pipeline barrier: this connection's in-flight requests first,
 			// then every backend pipeline.
